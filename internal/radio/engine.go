@@ -158,13 +158,15 @@ type Tracer interface {
 	NodeHalted(id int, output int64, energy uint64, round uint64)
 }
 
-// intentBuf is the depth of each node's intent channel. A deep buffer lets
-// a node program run ahead of the coordinator — queueing its next transmit,
-// sleep, and listen actions without a goroutine wake-up per round — until it
-// genuinely has to block for a reception. The scheduler consumes exactly one
-// intent per scheduled round regardless of depth, so results are identical
-// at any buffer size; only the synchronization cost changes.
-const intentBuf = 16
+// batchCap is the capacity of each intent batch a node hands to the
+// scheduler (see Env.flush). A node program runs ahead of the scheduler —
+// queueing its next transmit and sleep actions without a goroutine switch
+// per action — until it must wait for a reception, halts, or fills a
+// batch. The scheduler consumes exactly one intent per scheduled round
+// regardless of capacity, so results are identical at any capacity; only
+// the number of goroutine switches changes. Beyond 16 the capacity barely
+// matters; below it, Send-style sleep/transmit runs hand over too often.
+const batchCap = 32
 
 // Run simulates program on every vertex of g under cfg and blocks until all
 // nodes halt. It returns ErrMaxRounds (wrapped) if the round budget is
@@ -217,17 +219,35 @@ func run(g *graph.Graph, cfg Config, program Program, reference bool) (*Result, 
 			res.Crashed = make([]bool, n)
 		}
 	}
+	// A pooled run holds its Pool from spawn to teardown: the pool's arena
+	// backs the node goroutines' batches, and a node may still write its
+	// batch after the scheduler loop ends, until wg.Wait below.
+	var pool *Pool
+	if !reference {
+		pool = poolFrom(cfg.Ctx)
+	}
+	if pool != nil {
+		pool.mu.Lock()
+		defer pool.mu.Unlock()
+	}
+	// The reference engine keeps the historical single-slot rendezvous so
+	// differential benchmarks measure the pre-rework synchronization cost.
+	capacity := batchCap
+	if reference {
+		capacity = 1
+	}
+	per := 3 * capacity // one node's ring of three batch buffers
+	var arena []intent
+	if pool != nil {
+		arena = pool.arena(n * per)
+	} else {
+		arena = make([]intent, n*per)
+	}
 	kill := make(chan struct{})
 	down := new(atomic.Bool)
 	var wg sync.WaitGroup
 	envs := make([]*Env, n)
 	wakes := make([]uint64, n)
-	// The reference engine keeps the historical single-slot rendezvous so
-	// differential benchmarks measure the pre-rework synchronization cost.
-	buf := intentBuf
-	if reference {
-		buf = 1
-	}
 	// The select-free channel discipline (Env.fast) needs nothing able to
 	// preempt a blocked node: no crash faults, and not the reference
 	// engine (whose select cost is preserved deliberately).
@@ -240,15 +260,17 @@ func run(g *graph.Graph, cfg Config, program Program, reference bool) (*Result, 
 			wakes[i] = inj.WakeRound(i)
 		}
 		envs[i] = &Env{
-			id:       i,
-			n:        n,
-			rand:     rng.ForNode(cfg.Seed, i),
-			round:    wakes[i],
-			intentCh: make(chan intent, buf),
-			replyCh:  make(chan Reception, 1),
-			kill:     kill,
-			fast:     fast,
-			down:     down,
+			id:      i,
+			n:       n,
+			rand:    rng.ForNode(cfg.Seed, i),
+			round:   wakes[i],
+			ring:    arena[i*per : (i+1)*per : (i+1)*per],
+			fill:    arena[i*per : i*per : i*per+capacity],
+			handoff: make(chan []intent, 1),
+			replyCh: make(chan Reception, 1),
+			kill:    kill,
+			fast:    fast,
+			down:    down,
 		}
 		if inj != nil && inj.HasCrash() {
 			envs[i].crashCh = make(chan crashSignal)
@@ -286,18 +308,12 @@ func run(g *graph.Graph, cfg Config, program Program, reference bool) (*Result, 
 				if !sig.restart {
 					return // crash-stop
 				}
-				// Reboot: the dying life may have buffered intents after the
-				// coordinator consumed its last one (up to the channel
-				// depth); discard them so the next life starts clean. This
-				// runs on the same goroutine that buffered them, so the
-				// drain is race-free and complete.
-				for drained := false; !drained; {
-					select {
-					case <-env.intentCh:
-					default:
-						drained = true
-					}
-				}
+				// Reboot: the dying life may have queued intents after the
+				// coordinator consumed its last one (a batch on the
+				// hand-off, and an unflushed one); discard them so the next
+				// life starts clean. The coordinator discarded the rest of
+				// the batch it was consuming when it struck.
+				env.restart()
 				env.round = sig.resumeRound
 				env.energy = 0
 				env.phase = ""
@@ -308,7 +324,7 @@ func run(g *graph.Graph, cfg Config, program Program, reference bool) (*Result, 
 				// matches reality: a rebooted device reseeds its PRNG).
 				env.rand = rng.ForNode(rng.Mix(cfg.Seed, lifeSalt+life), env.id)
 				// Ack the coordinator: the old life is fully unwound and its
-				// stale intent drained, so the next life's intents are the
+				// stale intents discarded, so the next life's intents are the
 				// only thing the coordinator can observe from this node.
 				env.crashCh <- crashSignal{}
 			}
@@ -319,7 +335,7 @@ func run(g *graph.Graph, cfg Config, program Program, reference bool) (*Result, 
 	if reference {
 		err = coordinateReference(g, cfg, inj, maxRounds, envs, wakes, res)
 	} else {
-		err = coordinate(g, cfg, inj, maxRounds, envs, wakes, res)
+		err = coordinate(g, cfg, pool, inj, maxRounds, envs, wakes, res)
 	}
 	if inj != nil {
 		stats := inj.Stats()
@@ -327,23 +343,20 @@ func run(g *graph.Graph, cfg Config, program Program, reference bool) (*Result, 
 	}
 	// Tear the node goroutines down. Fast-discipline nodes have no kill
 	// case in their channel operations; they observe shutdown through the
-	// down flag (checked before every send) and the closed reply channel
-	// (for a node blocked in Listen). Raising the flag before the drain
-	// below guarantees a sender it unblocks cannot submit again: its next
-	// submit sees the flag and unwinds. Select-discipline nodes observe
-	// the kill channel directly once their buffered intents are drained.
+	// down flag (checked before every hand-off) and the closed reply
+	// channel (for a node blocked in Listen). Raising the flag before the
+	// drain below guarantees a sender it unblocks cannot hand off again:
+	// its next hand-off sees the flag and unwinds. Select-discipline nodes
+	// observe the kill channel directly.
 	down.Store(true)
 	close(kill)
 	for _, env := range envs {
 		if env.fast {
 			close(env.replyCh)
 		}
-		for drained := false; !drained; {
-			select {
-			case <-env.intentCh:
-			default:
-				drained = true
-			}
+		select {
+		case <-env.handoff:
+		default:
 		}
 	}
 	wg.Wait()
@@ -367,7 +380,8 @@ func runLife(env *Env, program Program) (sig crashSignal, crashed bool) {
 		}
 	}()
 	out := program(env)
-	env.submit(intent{kind: intentHalt, result: out})
+	env.fill = append(env.fill, intent{kind: intentHalt, arg: uint64(out)})
+	env.flush()
 	return crashSignal{}, false
 }
 

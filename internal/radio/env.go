@@ -19,7 +19,7 @@ func (killedError) Error() string { return "radio: node killed by engine shutdow
 
 // crashSignal is the sentinel panic value delivered to a node goroutine
 // when the fault injector crashes it. The coordinator sends it on the
-// node's crash channel; submit and Listen receive it at the node's next
+// node's crash channel; flush and Listen receive it at the node's next
 // blocking point and panic with it, unwinding the current program life.
 // The node's supervisor loop (see Run) recovers it and either lets the
 // node die (crash-stop) or re-runs the program (crash-restart).
@@ -39,22 +39,33 @@ type Env struct {
 	rand  *rand.Rand
 	round uint64 // round at which the node's next action takes place
 
-	intentCh chan intent
-	replyCh  chan Reception
-	kill     chan struct{}
+	// The batched hand-off. The node appends its intents to fill, a batch
+	// cut from ring (three equal buffers of the run's batch capacity), and
+	// hands fill over on handoff only when it must wait (Listen), when it
+	// halts, or when fill is full; then it rotates to the next buffer.
+	// Three buffers suffice because handoff holds one batch: when the node
+	// starts batch k its send of batch k-1 has completed, so the scheduler
+	// had taken batch k-2, which it does only after finishing batch k-3,
+	// whose buffer batch k reuses.
+	ring    []intent
+	fill    []intent
+	k       int // index of fill's buffer in ring
+	handoff chan []intent
+	replyCh chan Reception
+	kill    chan struct{}
 	// crashCh delivers crash faults from the coordinator; nil unless the
 	// run's fault profile enables crashes (a nil channel never selects, so
 	// clean runs pay nothing for the extra case).
 	crashCh chan crashSignal
-	// fast selects the select-free channel discipline: submit is a plain
-	// (buffered) send guarded by one atomic load of down, and Listen a
-	// plain receive — roughly a third of the cost of the historical
-	// three-way selects. It is enabled whenever nothing can preempt a
-	// blocked node mid-run: the sharded scheduler with no crash faults
-	// configured. Crash-fault runs keep the select discipline because a
-	// blocked node must stay receptive to crashCh, and the reference
-	// engine keeps it because that synchronization cost is part of what
-	// it preserves. See run's teardown for the fast shutdown protocol.
+	// fast selects the select-free channel discipline: a batch hand-off is
+	// a plain send guarded by one atomic load of down, and Listen a plain
+	// receive — roughly a third of the cost of the historical three-way
+	// selects. It is enabled whenever nothing can preempt a blocked node
+	// mid-run: the sharded scheduler with no crash faults configured.
+	// Crash-fault runs keep the select discipline because a blocked node
+	// must stay receptive to crashCh, and the reference engine keeps it
+	// because that synchronization cost is part of what it preserves. See
+	// run's teardown for the fast shutdown protocol.
 	fast bool
 	// down is the run-wide teardown flag backing the fast discipline
 	// (shared by all of the run's Envs).
@@ -105,7 +116,7 @@ func (e *Env) PhaseLabel() string { return e.phase }
 // (one unit of energy) and cannot listen in the same round; whether any
 // neighbor receives the message depends on the collisions at that neighbor.
 func (e *Env) Transmit(payload uint64) {
-	e.submit(intent{kind: intentTransmit, payload: payload, phase: e.phase})
+	e.submit(intent{kind: intentTransmit, arg: payload, phase: e.phase})
 	e.round++
 	e.energy++
 }
@@ -116,7 +127,8 @@ func (e *Env) TransmitBit() { e.Transmit(1) }
 // Listen spends this round listening and returns what was perceived under
 // the network's collision model. The node is awake (one unit of energy).
 func (e *Env) Listen() Reception {
-	e.submit(intent{kind: intentListen, phase: e.phase})
+	e.fill = append(e.fill, intent{kind: intentListen, phase: e.phase})
+	e.flush()
 	e.round++
 	e.energy++
 	if e.fast {
@@ -141,7 +153,7 @@ func (e *Env) Sleep(k uint64) {
 	if k == 0 {
 		return
 	}
-	e.submit(intent{kind: intentSleep, sleep: k})
+	e.submit(intent{kind: intentSleep, arg: k})
 	e.round += k
 }
 
@@ -154,25 +166,56 @@ func (e *Env) SleepUntil(round uint64) {
 	}
 }
 
+// submit appends an intent that does not wait for the scheduler, handing
+// the batch over only once it is full.
 func (e *Env) submit(it intent) {
+	e.fill = append(e.fill, it)
+	if len(e.fill) == cap(e.fill) {
+		e.flush()
+	}
+}
+
+// flush hands the filled batch to the scheduler and starts the next one in
+// the following ring buffer.
+func (e *Env) flush() {
+	b := e.fill
+	e.k++
+	if e.k == 3 {
+		e.k = 0
+	}
+	c := cap(b)
+	e.fill = e.ring[e.k*c : e.k*c : (e.k+1)*c]
 	if e.fast {
-		// Plain buffered send, guarded by the teardown flag: once the
-		// engine raises down it drains intentCh exactly once, so a send
-		// already blocked on a full buffer completes (and the node
-		// unwinds here on its next action), while no new send can block.
+		// Plain send, guarded by the teardown flag: once the engine
+		// raises down it drains handoff exactly once, so a send already
+		// blocked on a full channel completes (and the node unwinds here
+		// on its next hand-off), while no new send can block.
 		if e.down.Load() {
 			panic(killedError{})
 		}
-		e.intentCh <- it
+		e.handoff <- b
 		return
 	}
 	select {
-	case e.intentCh <- it:
+	case e.handoff <- b:
 	case sig := <-e.crashCh:
 		panic(sig)
 	case <-e.kill:
 		panic(killedError{})
 	}
+}
+
+// restart empties the node's side of the hand-off for a new program life:
+// it discards the batch the dead life left on handoff, if any, and its
+// unflushed intents. It runs on the node's own goroutine after the old
+// life unwound, so nothing can refill handoff meanwhile.
+func (e *Env) restart() {
+	select {
+	case <-e.handoff:
+	default:
+	}
+	e.k = 0
+	e.fill = e.ring[:0:cap(e.fill)]
 }
 
 // intentKind enumerates the actions a node can submit for a round.
@@ -186,9 +229,10 @@ const (
 )
 
 type intent struct {
-	kind    intentKind
-	payload uint64
-	sleep   uint64
-	result  int64
-	phase   string // Env.Phase label at submission (transmit/listen only)
+	kind intentKind
+	// arg is the kind's operand: a transmit's payload, a sleep's length,
+	// or a halt's output. One shared field keeps an intent at 32 bytes,
+	// which sizes every node's batch buffers.
+	arg   uint64
+	phase string // Env.Phase label at submission (transmit/listen only)
 }

@@ -46,9 +46,9 @@ type RunPerf struct {
 	// from the pool's one-entry cache instead of rebuilt for this run.
 	CSRReused bool
 	// BufferGrows counts coordinator-side scratch reallocations during
-	// bind (shard array, transmitter bitset, payload array). A warm pool
-	// holds this at zero; nonzero on pooled runs means the workload
-	// outgrew the pool's buffers.
+	// bind (shard array, transmitter bitset, payload array, hand-off
+	// cursors). A warm pool holds this at zero; nonzero on pooled runs
+	// means the workload outgrew the pool's buffers.
 	BufferGrows int
 	// ShardBusyNs[i] is the time shard i spent executing phase work
 	// (collect/apply and receive), summed over all rounds.
@@ -63,6 +63,12 @@ type RunPerf struct {
 	// perfectly balanced run; 0 when timing never ran (zero shards or an
 	// immediately-failing run).
 	Imbalance float64
+	// HandoffWaits counts the times the scheduler reached a due node
+	// whose next intent batch had not arrived and had to wait for it
+	// (yield, then block). Nodes hand batches over only when they listen,
+	// halt, or fill a batch, so a run whose nodes run far ahead waits
+	// about once per batch, not once per intent.
+	HandoffWaits uint64
 
 	// SliceEvery, when > 0, samples the round loop into coarse RoundSlices:
 	// one slice per SliceEvery executed rounds. It is configuration, not
@@ -216,5 +222,7 @@ func (s *sched) perfFold() {
 	for i, d := range s.phaseNs[:len(s.shards)] {
 		p.ShardBusyNs[i] += d
 		p.BarrierWaitNs[i] += max - d
+		p.HandoffWaits += s.shards[i].waits
+		s.shards[i].waits = 0
 	}
 }

@@ -3,6 +3,7 @@ package radio
 import (
 	"context"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"radiomis/internal/faults"
@@ -151,6 +152,44 @@ func TestPerfFields(t *testing.T) {
 	}
 	if perf.Shards != 1 || len(perf.ShardBusyNs) != 1 {
 		t.Errorf("reused RunPerf not resized: shards %d, busy len %d", perf.Shards, len(perf.ShardBusyNs))
+	}
+}
+
+// TestPerfHandoffWaitsPerBatch bounds RunPerf.HandoffWaits on a run whose
+// nodes never listen: each runs ten batch capacities ahead through
+// Transmit/Sleep and halts, so it hands over ⌈intents/batchCap⌉ batches and
+// the scheduler waits at most once per batch. The bound holds at any
+// GOMAXPROCS; a per-intent hand-off would exceed it by the capacity factor.
+// At one P the scheduler reaches the first due node before any node
+// goroutine ran, so it must report at least that wait.
+func TestPerfHandoffWaitsPerBatch(t *testing.T) {
+	const actions = 10 * batchCap
+	program := func(env *Env) int64 {
+		for i := 0; i < actions; i++ {
+			if (env.ID()+i)%2 == 0 {
+				env.Transmit(1)
+			} else {
+				env.Sleep(1)
+			}
+		}
+		return 0
+	}
+	// Few nodes: the scheduler waits at most once per round, so only a
+	// bound below the round count tells batches from single intents.
+	g := graph.Cycle(8)
+	const intents = actions + 1 // and the halt
+	bound := uint64(g.N() * ((intents + batchCap - 1) / batchCap))
+	perf := runWithPerf(t, g, Config{Model: ModelNoCD, Seed: 5}, program)
+	if perf.HandoffWaits > bound {
+		t.Errorf("%d hand-off waits, want ≤ %d = n·⌈%d/%d⌉", perf.HandoffWaits, bound, intents, batchCap)
+	}
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	if _, err := Run(g, Config{Model: ModelNoCD, Seed: 5, Perf: perf}, program); err != nil {
+		t.Fatal(err)
+	}
+	if perf.HandoffWaits == 0 || perf.HandoffWaits > bound {
+		t.Errorf("GOMAXPROCS=1: %d hand-off waits, want in [1, %d]", perf.HandoffWaits, bound)
 	}
 }
 

@@ -11,11 +11,11 @@ import (
 
 // Pool is a reusable backend for the sharded round scheduler: a fixed set
 // of worker goroutines plus all per-run scratch (shard buffers, transmitter
-// bitset, observer scratch) and a one-entry CSR adjacency cache. A single
-// Run pays the pool's costs — spawning workers, building the CSR snapshot,
-// growing buffers — once; installing a Pool on the run context lets a batch
-// of runs (harness.Repeat / Sweep trials, the radiomisd job loop) amortize
-// them across every trial on the same graph.
+// bitset, observer scratch, node intent batches) and a one-entry CSR
+// adjacency cache. A single Run pays the pool's costs — spawning workers,
+// building the CSR snapshot, growing buffers — once; installing a Pool on
+// the run context lets a batch of runs (harness.Repeat / Sweep trials, the
+// radiomisd job loop) amortize them across every trial on the same graph.
 //
 // Use it as:
 //
@@ -34,6 +34,7 @@ type Pool struct {
 	ws      *workerSet // lazily spawned helpers; nil until a run needs them
 	s       sched      // reused scheduler scratch
 	lk      lockstep   // reused lockstep-engine scratch (see lockstep.go)
+	intents []intent   // arena the node batch buffers are cut from
 
 	// One-entry CSR cache. Trials in a batch overwhelmingly share one
 	// graph, so a single entry captures nearly all reuse; n and m guard
@@ -93,10 +94,19 @@ func (p *Pool) snapshot(g *graph.Graph) (*graph.CSR, bool) {
 	return p.csr, false
 }
 
+// arena returns the pool's intent arena resized to size, reusing its
+// storage. Stale intents need no clearing: the scheduler reads only what a
+// node wrote into a batch it handed over. Callers hold p.mu.
+func (p *Pool) arena(size int) []intent {
+	if cap(p.intents) < size {
+		p.intents = make([]intent, size)
+	}
+	return p.intents[:size]
+}
+
 // coordinate runs one scheduled run on the pool's workers and scratch.
+// The caller (run) holds p.mu for the whole run, teardown included.
 func (p *Pool) coordinate(g *graph.Graph, cfg *Config, inj *faults.Injector, maxRounds uint64, envs []*Env, wakes []uint64, res *Result) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	nShards := shardCount(cfg, g.N(), p.workers)
 	csr, cached := p.snapshot(g)
 	p.s.bind(g, csr, cfg, inj, maxRounds, envs, wakes, res, nShards)

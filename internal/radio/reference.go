@@ -10,7 +10,7 @@ import (
 
 // This file preserves the pre-rework engine — the discrete-event
 // coordinator that serviced every node through a single goroutine and a
-// per-node single-slot channel rendezvous — verbatim, as the reference
+// per-node single-slot channel rendezvous — as the reference
 // implementation for the sharded round scheduler (sched.go).
 //
 // It exists for two reasons:
@@ -21,8 +21,8 @@ import (
 //     equal results, equal observer event streams, and equal errors.
 //   - Honest benchmarking: BenchmarkRun compares the scheduler's trial
 //     throughput against this coordinator (including its historical
-//     single-slot intent channels), so reported speedups measure the
-//     rework, not a strawman.
+//     single-slot rendezvous: one intent per hand-off), so reported
+//     speedups measure the rework, not a strawman.
 //
 // It is reachable only through runReference (exported to tests via
 // export_test.go) and must not change behavior; bug fixes that alter
@@ -109,7 +109,9 @@ func coordinateReference(g *graph.Graph, cfg Config, inj *faults.Injector, maxRo
 
 		for _, id := range due {
 			env := envs[id]
-			it := <-env.intentCh
+			// Reference batches hold one intent (see run), so each
+			// hand-off is the historical single-slot rendezvous.
+			it := (<-env.handoff)[0]
 			// Crash faults strike awake actions: the node dies before the
 			// action takes effect (no transmission, no listen, no energy
 			// charged). The signal rendezvous guarantees the old life is
@@ -136,15 +138,15 @@ func coordinateReference(g *graph.Graph, cfg Config, inj *faults.Injector, maxRo
 			}
 			switch it.kind {
 			case intentTransmit:
-				if cfg.UnaryOnly && it.payload != 1 {
-					return fmt.Errorf("%w: node %d sent %#x", ErrNotUnary, id, it.payload)
+				if cfg.UnaryOnly && it.arg != 1 {
+					return fmt.Errorf("%w: node %d sent %#x", ErrNotUnary, id, it.arg)
 				}
 				txEpoch[id] = epoch
-				txPayload[id] = it.payload
+				txPayload[id] = it.arg
 				nTx++
 				res.Energy[id]++
 				if obs != nil {
-					stats.Transmitters = append(stats.Transmitters, NodeTx{ID: id, Phase: it.phase, Payload: it.payload})
+					stats.Transmitters = append(stats.Transmitters, NodeTx{ID: id, Phase: it.phase, Payload: it.arg})
 				}
 				h.push(event{round: r + 1, id: id})
 			case intentListen:
@@ -155,12 +157,12 @@ func coordinateReference(g *graph.Graph, cfg Config, inj *faults.Injector, maxRo
 				}
 				h.push(event{round: r + 1, id: id})
 			case intentSleep:
-				h.push(event{round: r + it.sleep, id: id})
+				h.push(event{round: r + it.arg, id: id})
 			case intentHalt:
-				res.Outputs[id] = it.result
+				res.Outputs[id] = int64(it.arg)
 				active--
 				if obs != nil {
-					obs.ObserveHalt(id, it.result, res.Energy[id], r)
+					obs.ObserveHalt(id, int64(it.arg), res.Energy[id], r)
 				}
 			default:
 				return fmt.Errorf("radio: node %d submitted unknown intent %d", id, it.kind)

@@ -14,7 +14,7 @@ import (
 // This file implements the engine's round scheduler: a phase-barrier design
 // where a fixed pool of worker shards advances all awake nodes one round at
 // a time. It replaces the pre-rework coordinator (reference.go), which
-// serviced every node sequentially from a single goroutine, with three
+// serviced every node sequentially from a single goroutine, with four
 // cooperating ideas:
 //
 //   - Sharding. Nodes are partitioned into contiguous, 64-aligned id
@@ -34,6 +34,11 @@ import (
 //     rounds (and, via Pool, across runs), so the steady-state scheduler
 //     allocates nothing per round — the nil-observer zero-alloc guarantee
 //     of the pre-rework engine is preserved.
+//   - Batched hand-off. A node goroutine hands its intents over in batches
+//     (Env.flush), so a node running ahead costs a goroutine switch per
+//     batch rather than per intent; the scheduler reads them through
+//     per-node cursors (take) and yields once before waiting for a batch
+//     that has not arrived (refill).
 //
 // Event scheduling exploits that almost every event lands on the next
 // round: an awake action at round r schedules the node at r+1, which goes
@@ -99,6 +104,10 @@ type shard struct {
 	halts     []haltEv
 	err       schedErr
 
+	// waits counts the shard's hand-off waits since the last perfFold
+	// (perf runs only; see refill).
+	waits uint64
+
 	// Observer scratch (untouched when no observer is attached).
 	tx                              []NodeTx
 	rx                              []NodeRx
@@ -123,6 +132,10 @@ type sched struct {
 	shards    []shard
 	txBits    []uint64
 	txPayload []uint64
+	// cursors[id] is the batch the scheduler is consuming from node id and
+	// the position of its next intent. A node's cursor is touched only by
+	// the worker of its shard.
+	cursors []cursor
 
 	round  uint64
 	active int
@@ -255,11 +268,11 @@ func shardCount(cfg *Config, n, poolMax int) int {
 	return w
 }
 
-// coordinate drives one run on the sharded scheduler. It resolves a Pool
-// installed on cfg.Ctx (reusing its workers, buffers, and CSR snapshot) or
-// builds ephemeral state for a standalone run.
-func coordinate(g *graph.Graph, cfg Config, inj *faults.Injector, maxRounds uint64, envs []*Env, wakes []uint64, res *Result) error {
-	if pool := poolFrom(cfg.Ctx); pool != nil {
+// coordinate drives one run on the sharded scheduler, on the run's Pool
+// (reusing its workers, buffers, and CSR snapshot) when it has one, or on
+// ephemeral state for a standalone run.
+func coordinate(g *graph.Graph, cfg Config, pool *Pool, inj *faults.Injector, maxRounds uint64, envs []*Env, wakes []uint64, res *Result) error {
+	if pool != nil {
 		return pool.coordinate(g, &cfg, inj, maxRounds, envs, wakes, res)
 	}
 	s := &sched{}
@@ -319,6 +332,7 @@ func (s *sched) bind(g *graph.Graph, csr *graph.CSR, cfg *Config, inj *faults.In
 		sh.txIDs = sh.txIDs[:0]
 		sh.listeners = sh.listeners[:0]
 		sh.halts = sh.halts[:0]
+		sh.waits = 0
 		for id := sh.lo; id < sh.hi; id++ {
 			sh.heap.push(event{round: wakes[id], id: id})
 		}
@@ -336,6 +350,49 @@ func (s *sched) bind(g *graph.Graph, csr *graph.CSR, cfg *Config, inj *faults.In
 		s.perfGrow()
 	}
 	s.txPayload = s.txPayload[:n]
+	if cap(s.cursors) < n {
+		s.cursors = make([]cursor, n)
+		s.perfGrow()
+	}
+	s.cursors = s.cursors[:n]
+	clear(s.cursors)
+}
+
+// cursor is the scheduler's side of one node's batched hand-off: the batch
+// it is consuming and the position of the next intent in it.
+type cursor struct {
+	batch []intent
+	pos   int
+}
+
+// take returns node id's next intent, receiving the node's next batch
+// once the current one is spent.
+func (s *sched) take(sh *shard, id int32) intent {
+	c := &s.cursors[id]
+	if c.pos == len(c.batch) {
+		s.refill(sh, c, s.envs[id].handoff)
+	}
+	c.pos++
+	return c.batch[c.pos-1]
+}
+
+// refill receives a node's next batch from its hand-off channel. When the
+// batch has not arrived, the scheduler yields once before it blocks: every
+// node readied by the previous round's replies then runs up to its next
+// hand-off. Blocking at once would instead make each hand-off ready the
+// scheduler into the runtime's run-next slot, so it would wake once per
+// missing node rather than once per round.
+func (s *sched) refill(sh *shard, c *cursor, handoff chan []intent) {
+	select {
+	case c.batch = <-handoff:
+	default:
+		if s.perf != nil {
+			sh.waits++
+		}
+		runtime.Gosched()
+		c.batch = <-handoff
+	}
+	c.pos = 0
 }
 
 // loop is the scheduler's round loop: find the next round with a scheduled
@@ -453,18 +510,18 @@ func (s *sched) collectApply(sh *shard) {
 		sh.rx = sh.rx[:0]
 	}
 	for _, id := range sh.cur {
-		it := <-s.envs[id].intentCh
+		it := s.take(sh, id)
 		switch it.kind {
 		case intentTransmit:
-			if s.unaryOnly && it.payload != 1 && sh.err.id < 0 {
-				sh.err = schedErr{id: id, kind: intentTransmit, payload: it.payload}
+			if s.unaryOnly && it.arg != 1 && sh.err.id < 0 {
+				sh.err = schedErr{id: id, kind: intentTransmit, payload: it.arg}
 			}
 			s.txBits[id>>6] |= 1 << (id & 63)
-			s.txPayload[id] = it.payload
+			s.txPayload[id] = it.arg
 			sh.txIDs = append(sh.txIDs, id)
 			s.res.Energy[id]++
 			if obs {
-				sh.tx = append(sh.tx, NodeTx{ID: int(id), Phase: it.phase, Payload: it.payload})
+				sh.tx = append(sh.tx, NodeTx{ID: int(id), Phase: it.phase, Payload: it.arg})
 			}
 			sh.push(r+1, r, id)
 		case intentListen:
@@ -475,10 +532,10 @@ func (s *sched) collectApply(sh *shard) {
 			}
 			sh.push(r+1, r, id)
 		case intentSleep:
-			sh.push(r+it.sleep, r, id)
+			sh.push(r+it.arg, r, id)
 		case intentHalt:
-			s.res.Outputs[id] = it.result
-			sh.halts = append(sh.halts, haltEv{id: id, output: it.result})
+			s.res.Outputs[id] = int64(it.arg)
+			sh.halts = append(sh.halts, haltEv{id: id, output: int64(it.arg)})
 		default:
 			if sh.err.id < 0 {
 				sh.err = schedErr{id: id, kind: it.kind}
@@ -496,7 +553,7 @@ func (s *sched) collect(sh *shard) {
 	}
 	sh.intents = sh.intents[:len(sh.cur)]
 	for k, id := range sh.cur {
-		sh.intents[k] = <-s.envs[id].intentCh
+		sh.intents[k] = s.take(sh, id)
 	}
 }
 
@@ -635,6 +692,9 @@ func (s *sched) faultRound(r uint64) error {
 			if (it.kind == intentTransmit || it.kind == intentListen) && inj.CrashesNow(int(id)) {
 				delay, restart := inj.Restart(int(id))
 				env.crashCh <- crashSignal{restart: restart, resumeRound: r + delay}
+				// The dead life's unconsumed intents die with it; the node
+				// discards its own side of the hand-off (Env.restart).
+				s.cursors[id] = cursor{}
 				if restart {
 					// Rendezvous with the supervisor: wait until the old
 					// life is fully unwound and drained, so the scheduler
@@ -654,16 +714,16 @@ func (s *sched) faultRound(r uint64) error {
 			}
 			switch it.kind {
 			case intentTransmit:
-				if s.unaryOnly && it.payload != 1 {
-					return fmt.Errorf("%w: node %d sent %#x", ErrNotUnary, id, it.payload)
+				if s.unaryOnly && it.arg != 1 {
+					return fmt.Errorf("%w: node %d sent %#x", ErrNotUnary, id, it.arg)
 				}
 				s.txBits[id>>6] |= 1 << (id & 63)
-				s.txPayload[id] = it.payload
+				s.txPayload[id] = it.arg
 				sh.txIDs = append(sh.txIDs, id)
 				nTx++
 				res.Energy[id]++
 				if obs != nil {
-					s.stats.Transmitters = append(s.stats.Transmitters, NodeTx{ID: int(id), Phase: it.phase, Payload: it.payload})
+					s.stats.Transmitters = append(s.stats.Transmitters, NodeTx{ID: int(id), Phase: it.phase, Payload: it.arg})
 				}
 				sh.push(r+1, r, id)
 			case intentListen:
@@ -674,12 +734,12 @@ func (s *sched) faultRound(r uint64) error {
 				}
 				sh.push(r+1, r, id)
 			case intentSleep:
-				sh.push(r+it.sleep, r, id)
+				sh.push(r+it.arg, r, id)
 			case intentHalt:
-				res.Outputs[id] = it.result
+				res.Outputs[id] = int64(it.arg)
 				s.active--
 				if obs != nil {
-					obs.ObserveHalt(int(id), it.result, res.Energy[id], r)
+					obs.ObserveHalt(int(id), int64(it.arg), res.Energy[id], r)
 				}
 			default:
 				return fmt.Errorf("radio: node %d submitted unknown intent %d", id, it.kind)

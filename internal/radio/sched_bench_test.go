@@ -3,6 +3,7 @@ package radio
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -34,9 +35,36 @@ func benchProgram(env *Env) int64 {
 	return heard
 }
 
+// runAheadBenchProgram is the benchmark's hand-off workload: the awake-action
+// profile of the no-CD MIS algorithm, which has no lane twin and so runs
+// only on the scalar engine. Each phase is a Send-style backoff — per
+// iteration, sleep to a geometric slot, transmit, sleep out the rest — and
+// one listen, so nodes run dozens of intents ahead between waits.
+func runAheadBenchProgram(env *Env) int64 {
+	const slots = 8
+	heard := int64(0)
+	for phase := 0; phase < 10; phase++ {
+		env.Phase("send")
+		for i := 0; i < 16; i++ {
+			x := 1 + bits.TrailingZeros64(env.Rand().Uint64()|1<<(slots-1))
+			env.Sleep(uint64(x - 1))
+			env.TransmitBit()
+			env.Sleep(uint64(slots - x))
+		}
+		env.Phase("check")
+		if env.Listen().Kind != Silence {
+			heard++
+		}
+	}
+	return heard
+}
+
 // BenchmarkRun measures end-to-end trial throughput — complete Run calls
-// per second — on the ISSUE 4 acceptance workload G(n=4096, p=8/n) and a
-// smaller control, comparing three configurations:
+// per second — comparing four engine configurations on three workloads:
+// the scheduler's acceptance workload G(n=4096, p=8/n), a smaller control
+// at n=1024, and the run-ahead workload of the no-CD algorithms on an 8×8
+// grid (no lane twin, so benchdiff.py --lockstep skips it). The
+// configurations are:
 //
 //	reference  the preserved pre-rework engine (single-slot channel
 //	           rendezvous, heap-only scheduling)
@@ -56,10 +84,20 @@ func benchProgram(env *Env) int64 {
 // perf allocs/op (scripts/benchallocs.py) so telemetry can never quietly
 // start allocating.
 func BenchmarkRun(b *testing.B) {
+	type workload struct {
+		name    string
+		g       *graph.Graph
+		program Program
+	}
+	var works []workload
 	for _, n := range []int{1024, 4096} {
 		g := graph.GNP(n, 8.0/float64(n), rand.New(rand.NewSource(4096)))
+		works = append(works, workload{fmt.Sprintf("gnp/n=%d", n), g, benchProgram})
+	}
+	works = append(works, workload{"runahead/grid/n=64", graph.Grid2D(8, 8), runAheadBenchProgram})
+	for _, w := range works {
 		for _, engine := range []string{"reference", "sched", "pooled", "perf"} {
-			b.Run(fmt.Sprintf("%s/gnp/n=%d", engine, n), func(b *testing.B) {
+			b.Run(engine+"/"+w.name, func(b *testing.B) {
 				ctx := context.Background()
 				if engine == "pooled" || engine == "perf" {
 					pool := NewPool(0)
@@ -79,9 +117,9 @@ func BenchmarkRun(b *testing.B) {
 						err error
 					)
 					if engine == "reference" {
-						res, err = runReference(g, cfg, benchProgram)
+						res, err = runReference(w.g, cfg, w.program)
 					} else {
-						res, err = Run(g, cfg, benchProgram)
+						res, err = Run(w.g, cfg, w.program)
 					}
 					if err != nil {
 						b.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"radiomis/internal/faults"
@@ -106,6 +107,33 @@ func sleepyProgram(env *Env) int64 {
 	return int64(env.Energy())
 }
 
+// runAheadProgram stresses the batched hand-off: Send-style runs of
+// Transmit/Sleep actions, each at least three batch capacities long, so
+// nodes fill batches and block handing the next one over while the
+// scheduler is still two batches behind; sparse listens in between; and a
+// trailing run of id-dependent length, so halts land at every position of
+// a batch.
+func runAheadProgram(env *Env) int64 {
+	env.Phase("run-ahead")
+	heard := int64(0)
+	for burst := 0; burst < 2+env.ID()%3; burst++ {
+		for j := 3*batchCap + env.Rand().Intn(batchCap); j > 0; j-- {
+			if env.Rand().Intn(4) == 0 {
+				env.Transmit(uint64(env.ID()) + 1)
+			} else {
+				env.Sleep(uint64(env.Rand().Intn(3) + 1))
+			}
+		}
+		if env.Listen().Kind == MessageKind {
+			heard++
+		}
+	}
+	for j := env.ID() % (2 * batchCap); j > 0; j-- {
+		env.Sleep(1)
+	}
+	return heard
+}
+
 func parityGraphs(t *testing.T) map[string]*graph.Graph {
 	t.Helper()
 	r := rand.New(rand.NewSource(11))
@@ -182,8 +210,9 @@ func runBoth(t *testing.T, g *graph.Graph, cfg Config, program Program) {
 
 func TestSchedulerParityClean(t *testing.T) {
 	programs := map[string]Program{
-		"decay":  decayProgram,
-		"sleepy": sleepyProgram,
+		"decay":    decayProgram,
+		"sleepy":   sleepyProgram,
+		"runahead": runAheadProgram,
 	}
 	for gname, g := range parityGraphs(t) {
 		for pname, program := range programs {
@@ -233,6 +262,15 @@ func TestSchedulerParityFaults(t *testing.T) {
 			})
 		}
 	}
+	// Crashes that strike nodes running batches ahead: the dead life's
+	// unconsumed intents must vanish on both sides of the hand-off.
+	for _, fname := range []string{"crash", "restart"} {
+		for _, gname := range []string{"star65", "gnp200"} {
+			t.Run(fname+"/"+gname+"/runahead", func(t *testing.T) {
+				runBoth(t, gs[gname], Config{Model: ModelCD, Seed: 0xc0ffee, Faults: profiles[fname]}, runAheadProgram)
+			})
+		}
+	}
 }
 
 // TestSchedulerParityUnaryViolation checks that UnaryOnly violations
@@ -268,6 +306,143 @@ func TestSchedulerParityMaxRounds(t *testing.T) {
 	if _, err := Run(g, Config{Model: ModelCD, Seed: 2, MaxRounds: 50}, spin); !errors.Is(err, ErrMaxRounds) {
 		t.Fatalf("err = %v, want ErrMaxRounds", err)
 	}
+}
+
+// TestAbortAndMaxRoundsDuringHandoff strikes a run with its round cap and
+// with context cancellation while nodes are blocked handing off a full
+// batch, on every engine and channel discipline, and requires Run to
+// return the abort error. Every node but 0 runs ahead without ever waiting,
+// so it keeps a full batch on its hand-off and blocks sending the next;
+// node 0 listens every round and, in the cancellation case, signals once
+// the run is well under way. A pooled run after the aborts must still
+// match the reference engine: no aborted run may leave a node writing into
+// the pool's batch arena.
+func TestAbortAndMaxRoundsDuringHandoff(t *testing.T) {
+	g := graph.Cycle(130)
+	program := func(started chan<- struct{}) Program {
+		var once sync.Once
+		return func(env *Env) int64 {
+			for env.ID() != 0 {
+				env.Transmit(1)
+				env.Sleep(1)
+			}
+			for {
+				if env.Round() >= 4*batchCap && started != nil {
+					once.Do(func() { close(started) })
+				}
+				env.Listen()
+			}
+		}
+	}
+	pool := NewPool(3)
+	defer pool.Close()
+	engines := map[string]func(Config, Program) (*Result, error){
+		"reference": func(cfg Config, p Program) (*Result, error) { return runReference(g, cfg, p) },
+		"sched": func(cfg Config, p Program) (*Result, error) {
+			cfg.Shards = 3
+			return Run(g, cfg, p)
+		},
+		"pooled": func(cfg Config, p Program) (*Result, error) {
+			base := cfg.Ctx
+			if base == nil {
+				base = context.Background()
+			}
+			cfg.Ctx = WithPool(base, pool)
+			return Run(g, cfg, p)
+		},
+	}
+	// A crash rate that never fires still switches the nodes to the
+	// select discipline.
+	profiles := map[string]faults.Profile{
+		"fast":   {},
+		"select": {Crash: faults.Crash{Rate: 1e-300}},
+	}
+	for ename, engine := range engines {
+		for pname, fp := range profiles {
+			t.Run(ename+"/"+pname+"/maxrounds", func(t *testing.T) {
+				_, err := engine(Config{Model: ModelCD, Seed: 4, MaxRounds: 10 * batchCap, Faults: fp}, program(nil))
+				if !errors.Is(err, ErrMaxRounds) {
+					t.Fatalf("err = %v, want ErrMaxRounds", err)
+				}
+			})
+			t.Run(ename+"/"+pname+"/cancel", func(t *testing.T) {
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				started := make(chan struct{})
+				errc := make(chan error, 1)
+				go func() {
+					_, err := engine(Config{Model: ModelCD, Seed: 4, Ctx: ctx, Faults: fp}, program(started))
+					errc <- err
+				}()
+				<-started
+				cancel()
+				if err := <-errc; !errors.Is(err, ErrAborted) {
+					t.Fatalf("err = %v, want ErrAborted", err)
+				}
+			})
+		}
+	}
+	want, err := runReference(g, Config{Model: ModelCD, Seed: 9}, runAheadProgram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := engines["pooled"](Config{Model: ModelCD, Seed: 9}, runAheadProgram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("pooled run after aborted runs diverges from the reference engine")
+	}
+}
+
+// TestPoolConcurrentRunsQueue starts pooled runs from several goroutines at
+// once on one Pool, half of them aborted by their round cap while nodes run
+// batches ahead. A run holds the pool until its last node goroutine exited,
+// because the pool's arena backs the nodes' batches until then; every
+// completed run must still match the reference engine.
+func TestPoolConcurrentRunsQueue(t *testing.T) {
+	g := graph.Cycle(97)
+	pool := NewPool(2)
+	defer pool.Close()
+	ctx := WithPool(context.Background(), pool)
+	forever := func(env *Env) int64 {
+		for {
+			env.Transmit(uint64(env.ID()))
+			env.Sleep(1)
+		}
+	}
+	const runs = 6
+	want := make([]*Result, runs)
+	for i := 1; i < runs; i += 2 {
+		res, err := runReference(g, Config{Model: ModelCD, Seed: uint64(i)}, runAheadProgram)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = res
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < runs; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if i%2 == 0 {
+				_, err := Run(g, Config{Model: ModelCD, Seed: uint64(i), Ctx: ctx, MaxRounds: 10 * batchCap}, forever)
+				if !errors.Is(err, ErrMaxRounds) {
+					t.Errorf("run %d: err = %v, want ErrMaxRounds", i, err)
+				}
+				return
+			}
+			got, err := Run(g, Config{Model: ModelCD, Seed: uint64(i), Ctx: ctx}, runAheadProgram)
+			if err != nil {
+				t.Errorf("run %d: %v", i, err)
+				return
+			}
+			if !reflect.DeepEqual(got, want[i]) {
+				t.Errorf("run %d diverges from the reference engine", i)
+			}
+		}(i)
+	}
+	wg.Wait()
 }
 
 // TestPoolSequentialRunsIndependent checks that back-to-back pooled runs on

@@ -321,7 +321,9 @@ type Job struct {
 	// reg is the job's private telemetry registry, installed on the
 	// execution context so the harness feeds per-trial timings into it.
 	// Written by run() before execution and read by finish() after, on the
-	// same worker goroutine — no lock needed.
+	// same worker goroutine — no lock needed. finish() drops it once folded
+	// into the daemon registry: finished jobs stay in the manager, and
+	// each registry's histograms would otherwise stay with them.
 	reg *telemetry.Registry
 
 	// runSpan covers the execution phase only; like reg it is touched only
@@ -790,6 +792,7 @@ func (m *Manager) finish(j *Job, res *JobResult, err error) {
 		if merr := m.reg.MergeSnapshot(j.reg.Snapshot()); merr != nil {
 			m.opts.Logger.Warn("job telemetry fold failed", j.logArgs("error", merr.Error())...)
 		}
+		j.reg = nil
 	}
 
 	m.mu.Lock()

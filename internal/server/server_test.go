@@ -115,7 +115,7 @@ func TestSubmitStatusResult(t *testing.T) {
 }
 
 func TestSolveJob(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 2})
+	m, ts := newTestServer(t, Options{Workers: 2})
 	st, resp := submit(t, ts, JobRequest{Kind: KindSolve, Algorithm: "cd", N: 64, Trials: 3, Seed: 9})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit status = %d, want 202", resp.StatusCode)
@@ -123,6 +123,17 @@ func TestSolveJob(t *testing.T) {
 	final := waitTerminal(t, ts, st.ID)
 	if final.State != StateDone {
 		t.Fatalf("state = %q (error %q), want done", final.State, final.Error)
+	}
+	// A finished job stays listed, but its private telemetry registry is
+	// folded into the daemon's and dropped, so memory does not grow with
+	// every job served.
+	j, ok := m.Job(st.ID)
+	if !ok {
+		t.Fatal("finished job no longer listed")
+	}
+	<-j.Done()
+	if j.reg != nil {
+		t.Error("finished job still holds its telemetry registry")
 	}
 	sr := final.Result.Solve
 	if sr == nil {
