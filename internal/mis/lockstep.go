@@ -104,15 +104,15 @@ func (cp *cdLaneProgram) Step(node int, due, heard uint64, act *radio.LaneAction
 				s.st = cdStHaltIn
 				continue
 			}
+			// The coin, without a branch: heads is all ones on heads
+			// (transmit, next bit) and zero on tails (listen).
 			var out uint64
 			s.rng, out = rng.SplitMix64(s.rng)
-			if out>>1&1 == 1 {
-				act.Transmit |= lb
-				s.bit++
-			} else {
-				act.Listen |= lb
-				s.st = cdStAfterListen
-			}
+			heads := -(out >> 1 & 1)
+			act.Transmit |= lb & heads
+			act.Listen |= lb &^ heads
+			s.bit += uint16(heads & 1)
+			s.st = cdStAfterListen &^ uint8(heads) // cdStBit is 0
 		case cdStAfterListen:
 			if heard&lb != 0 {
 				// A higher-ranked neighbor is competing: sleep out the
@@ -227,19 +227,19 @@ func (np *naiveCDLaneProgram) Step(node int, due, heard uint64, act *radio.LaneA
 				}
 				continue
 			}
-			coin := false
+			// The coin, as in the cd twin: heads is all ones on heads
+			// (transmit, next bit) and zero on tails or out of contention
+			// (listen).
+			var heads uint64
 			if s.inCont {
 				var out uint64
 				s.rng, out = rng.SplitMix64(s.rng)
-				coin = out>>1&1 == 1
+				heads = -(out >> 1 & 1)
 			}
-			if coin {
-				act.Transmit |= lb
-				s.bit++
-			} else {
-				act.Listen |= lb
-				s.st = nvStAfterListen
-			}
+			act.Transmit |= lb & heads
+			act.Listen |= lb &^ heads
+			s.bit += uint16(heads & 1)
+			s.st = nvStAfterListen &^ uint8(heads) // nvStBit is 0
 		case nvStAfterListen:
 			if heard&lb != 0 && s.inCont {
 				// Knocked out, but the naive node keeps listening through

@@ -22,6 +22,15 @@ import (
 // "≥1 transmitter" and "≥2 transmitters" per lane without examining lanes
 // individually.
 //
+// Lane scheduling never scans lanes either. Each node keeps a short list
+// of (round, lane mask) events, ascending by round with disjoint masks:
+// the head is the node's due mask, and the next head is the round the
+// node re-enters the round scheduler at. Transmitters, listeners and
+// one-round sleepers share one next-round event; longer sleepers are
+// grouped by wake round, one insertion per distinct round. A lane killed
+// by an error only leaves the alive mask; its events still queued at
+// other nodes are dropped when they reach a list's head.
+//
 // Determinism contract: lane l of RunLockstep(g, cfg, lp, seeds) produces
 // a Result bit-identical to the scalar Run(g, cfg′, program) with
 // cfg′.Seed = seeds[l], where program is the scalar twin of lp. The
@@ -35,10 +44,6 @@ import (
 // MaxLanes is the lane capacity of one lockstep run: one bit per lane in
 // a 64-bit word.
 const MaxLanes = 64
-
-// neverDue marks a (node, lane) slot with no scheduled event: the lane
-// halted, errored, or does not exist.
-const neverDue = ^uint64(0)
 
 // LaneActions is the out-parameter of LaneProgram.Step: the actions of
 // one node's due lanes this round. Transmit, Listen, and Halt are lane
@@ -90,6 +95,13 @@ type LaneProgram interface {
 	Step(node int, due, heard uint64, act *LaneActions)
 }
 
+// laneEvent is one entry of a node's event list: the lanes of the node
+// that act next at round.
+type laneEvent struct {
+	round uint64
+	lanes uint64
+}
+
 // LockstepBatch is the outcome of one RunLockstep call: per-lane results,
 // per-lane errors, and per-lane halt rounds.
 type LockstepBatch struct {
@@ -124,22 +136,32 @@ type lockstep struct {
 	lanes     int
 	n         int
 
-	// Per-(node, lane) state, indexed [node*MaxLanes + lane] so one
-	// node's 64 lanes share cache lines during stepping. Results are
-	// transposed into per-lane slices only at the end of the run.
-	due    []uint64
+	// Per-node event lists. Node v's list is events[v*MaxLanes:][:evLen[v]],
+	// stored latest round first so that its head — the earliest round —
+	// is the last entry: popping the head and pushing a next-round event
+	// touch only the end. Every lane sits in at most one event of a node,
+	// so MaxLanes entries always suffice.
+	events []laneEvent
+	evLen  []uint8
+
+	// Energy per (node, lane), indexed [node*MaxLanes + lane] so one
+	// node's lanes share cache lines; transposed at the end of the run.
 	energy []uint64
-	outs   []int64
-	haltR  []uint64
+
+	// Outputs and halt rounds in the returned [lane*n + node] layout:
+	// allocated per batch by bind and handed to the caller by results.
+	outs  []int64
+	haltR []uint64
 
 	// Per-node lane masks.
 	heard  []uint64 // latest reception, updated only at listener lanes
 	txMask []uint64 // lanes transmitting this round (sparse; cleared via txNodes)
 	lsMask []uint64 // lanes listening this round (sparse; cleared in receive)
 
-	// Round scheduling: one event per node with any pending lane, split
-	// like the scalar scheduler into an append-only next-round bucket
-	// (ascending id) and a heap for farther-out events.
+	// Round scheduling: each node with a pending event is queued once, at
+	// its list's head round, split like the scalar scheduler into an
+	// append-only next-round bucket (ascending id) and a heap for
+	// farther-out events.
 	heap    eventHeap
 	next    []int32
 	cur     []int32
@@ -148,7 +170,7 @@ type lockstep struct {
 
 	act LaneActions
 
-	aliveMask  uint64 // lanes still running
+	aliveMask  uint64 // lanes still running; dead lanes' queued events are dropped lazily
 	laneActive []int32
 	laneRounds []uint64
 	laneErrs   []error
@@ -247,28 +269,26 @@ func (ls *lockstep) bind(g *graph.Graph, csr *graph.CSR, cfg *Config, lanes int,
 	}
 
 	grow := n * MaxLanes
-	if cap(ls.due) < grow {
-		ls.due = make([]uint64, grow)
+	if cap(ls.events) < grow {
+		ls.events = make([]laneEvent, grow)
 		ls.energy = make([]uint64, grow)
-		ls.outs = make([]int64, grow)
-		ls.haltR = make([]uint64, grow)
 	}
-	ls.due = ls.due[:grow]
+	ls.events = ls.events[:grow]
 	ls.energy = ls.energy[:grow]
-	ls.outs = ls.outs[:grow]
-	ls.haltR = ls.haltR[:grow]
 	clear(ls.energy)
-	clear(ls.outs)
-	clear(ls.haltR)
+	ls.outs = make([]int64, lanes*n)
+	ls.haltR = make([]uint64, lanes*n)
 
 	if cap(ls.heard) < n {
 		ls.heard = make([]uint64, n)
 		ls.txMask = make([]uint64, n)
 		ls.lsMask = make([]uint64, n)
+		ls.evLen = make([]uint8, n)
 	}
 	ls.heard = ls.heard[:n]
 	ls.txMask = ls.txMask[:n]
 	ls.lsMask = ls.lsMask[:n]
+	ls.evLen = ls.evLen[:n]
 	clear(ls.heard)
 	clear(ls.txMask)
 	clear(ls.lsMask)
@@ -293,18 +313,15 @@ func (ls *lockstep) bind(g *graph.Graph, csr *graph.CSR, cfg *Config, lanes int,
 		ls.laneErrs[l] = nil
 	}
 
+	// Every list starts as one event holding all lanes; evLen bounds each
+	// list, so entries left by the previous batch need no clearing.
 	for v := 0; v < n; v++ {
-		base := v * MaxLanes
 		var wake uint64
 		if cfg.WakeRound != nil {
 			wake = cfg.WakeRound[v]
 		}
-		for l := 0; l < lanes; l++ {
-			ls.due[base+l] = wake
-		}
-		for l := lanes; l < MaxLanes; l++ {
-			ls.due[base+l] = neverDue
-		}
+		ls.events[v*MaxLanes] = laneEvent{round: wake, lanes: ls.aliveMask}
+		ls.evLen[v] = 1
 		ls.heap.push(event{round: wake, id: v})
 	}
 }
@@ -374,25 +391,45 @@ func (ls *lockstep) beginRound(r uint64) {
 	ls.next = ls.next[:0]
 }
 
-// reschedule re-enters node v into the event structures at the minimum
-// due round across its lanes; a node whose lanes are all halted or dead
-// retires (no event).
+// reschedule re-enters node v into the round scheduler at its list's head
+// round, first dropping head events whose lanes have all died; a node
+// with no live event left retires.
 func (ls *lockstep) reschedule(v int32, r uint64) {
 	base := int(v) * MaxLanes
-	m := neverDue
-	for l := 0; l < ls.lanes; l++ {
-		if d := ls.due[base+l]; d < m {
-			m = d
-		}
+	c := int(ls.evLen[v])
+	for c > 0 && ls.events[base+c-1].lanes&ls.aliveMask == 0 {
+		c--
 	}
-	if m == neverDue {
+	ls.evLen[v] = uint8(c)
+	if c == 0 {
 		return
 	}
-	if m == r+1 {
+	if m := ls.events[base+c-1].round; m == r+1 {
 		ls.next = append(ls.next, v)
+	} else {
+		ls.heap.push(event{round: m, id: int(v)})
+	}
+}
+
+// insert adds lanes to node v's event at round w, creating that event
+// in round order if the list has none at w. Every queued round is later
+// than the current one, so a next-round event is a push onto the end (or
+// a merge with the head); a farther event scans from the head past the
+// earlier rounds, which are few.
+func (ls *lockstep) insert(v int32, w, lanes uint64) {
+	base := int(v) * MaxLanes
+	c := int(ls.evLen[v])
+	i := c
+	for i > 0 && ls.events[base+i-1].round < w {
+		i--
+	}
+	if i > 0 && ls.events[base+i-1].round == w {
+		ls.events[base+i-1].lanes |= lanes
 		return
 	}
-	ls.heap.push(event{round: m, id: int(v)})
+	copy(ls.events[base+i+1:base+c+1], ls.events[base+i:base+c])
+	ls.events[base+i] = laneEvent{round: w, lanes: lanes}
+	ls.evLen[v] = uint8(c + 1)
 }
 
 // stepRound advances all lanes one round: step each due node's lane
@@ -406,17 +443,14 @@ func (ls *lockstep) stepRound(r uint64, lp LaneProgram) {
 	ls.errMask = 0
 	act := &ls.act
 
+	var finished uint64
 	for _, v := range ls.cur {
+		// The node was queued at its head round, r: pop the head.
 		base := int(v) * MaxLanes
-		var dueM uint64
-		for l := 0; l < ls.lanes; l++ {
-			if ls.due[base+l] == r {
-				dueM |= 1 << l
-			}
-		}
+		ls.evLen[v]--
+		dueM := ls.events[base+int(ls.evLen[v])].lanes & ls.aliveMask
 		if dueM == 0 {
-			// Stale event: the lanes that scheduled it died since. The
-			// recompute below retires or re-enters the node correctly.
+			// Stale event: the lanes that scheduled it died since.
 			ls.reschedule(v, r)
 			continue
 		}
@@ -452,40 +486,64 @@ func (ls *lockstep) stepRound(r uint64, lp LaneProgram) {
 			ls.lsNodes = append(ls.lsNodes, v)
 		}
 		for m := tx | lsn; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros64(m)
-			ls.energy[base+l]++
-			ls.due[base+l] = r + 1
+			ls.energy[base+bits.TrailingZeros64(m)]++
 		}
+
+		// Transmitters, listeners and one-round sleepers (a zero sleep is
+		// clamped to one) act next round; longer sleepers are grouped by
+		// wake round, one insertion per distinct round.
+		soon := tx | lsn
+		var far uint64
 		for m := sl; m != 0; m &= m - 1 {
 			l := bits.TrailingZeros64(m)
-			k := act.Sleep[l]
-			if k == 0 {
-				k = 1
+			if act.Sleep[l] <= 1 {
+				soon |= 1 << l
+			} else {
+				far |= 1 << l
 			}
-			ls.due[base+l] = r + k
 		}
+		for far != 0 {
+			k := act.Sleep[bits.TrailingZeros64(far)]
+			var group uint64
+			for m := far; m != 0; m &= m - 1 {
+				if l := bits.TrailingZeros64(m); act.Sleep[l] == k {
+					group |= 1 << l
+				}
+			}
+			far &^= group
+			ls.insert(v, r+k, group)
+		}
+		if soon != 0 {
+			ls.insert(v, r+1, soon)
+		}
+
 		for m := hl; m != 0; m &= m - 1 {
 			l := bits.TrailingZeros64(m)
-			ls.due[base+l] = neverDue
-			ls.outs[base+l] = act.Output[l]
+			i := l*ls.n + int(v)
+			ls.outs[i] = act.Output[l]
 			// Scalar semantics in an erroring round: halts of nodes below
 			// the offender are observed, those at or above are not (their
 			// Outputs entry is still set). Ascending order makes "error
 			// already recorded" equivalent to "offender id ≤ this node".
 			if ls.errMask>>l&1 == 0 {
-				ls.haltR[base+l] = r
-				ls.laneActive[l]--
+				ls.haltR[i] = r
+				if ls.laneActive[l]--; ls.laneActive[l] == 0 {
+					finished |= 1 << l
+				}
 			}
 		}
 		ls.reschedule(v, r)
 	}
 
 	if ls.errMask != 0 {
+		// Killing a lane only clears its alive bit: its events queued at
+		// other nodes are filtered out of due masks and dropped when they
+		// reach a list's head.
 		for m := ls.errMask & ls.aliveMask; m != 0; m &= m - 1 {
 			l := bits.TrailingZeros64(m)
 			ls.laneErrs[l] = fmt.Errorf("%w: node %d sent %#x", ErrNotUnary, ls.errNode[l], ls.errPayload[l])
-			ls.killLane(l)
 		}
+		ls.aliveMask &^= ls.errMask
 	}
 
 	// Per-lane round accounting and reception, mirroring the scalar
@@ -513,13 +571,6 @@ func (ls *lockstep) stepRound(r uint64, lp LaneProgram) {
 		ls.lsMask[v] = 0
 	}
 
-	var finished uint64
-	for m := ls.aliveMask; m != 0; m &= m - 1 {
-		l := bits.TrailingZeros64(m)
-		if ls.laneActive[l] == 0 {
-			finished |= 1 << l
-		}
-	}
 	ls.aliveMask &^= finished
 }
 
@@ -552,25 +603,13 @@ func (ls *lockstep) receive(r uint64) {
 	}
 }
 
-// killLane removes lane l from the run after a lane error: it stops
-// scheduling (every due slot cleared) and stops counting toward round or
-// reception accounting. Other lanes are unaffected — lane isolation is
-// inherent to the bit layout.
-func (ls *lockstep) killLane(l int) {
-	ls.aliveMask &^= 1 << l
-	for v := 0; v < ls.n; v++ {
-		ls.due[v*MaxLanes+l] = neverDue
-	}
-}
-
-// results transposes the interleaved per-(node, lane) state into one
-// Result per lane. All lanes share three backing arrays (one per field),
-// so a 64-lane batch costs a handful of allocations, not 3×64.
+// results assembles one Result per lane. Outputs and halt rounds are
+// already in their returned layout; energy is transposed from the
+// per-(node, lane) scratch. All lanes share three backing arrays (one per
+// field), so a 64-lane batch costs a handful of allocations, not 3×64.
 func (ls *lockstep) results() *LockstepBatch {
 	n, lanes := ls.n, ls.lanes
-	outs := make([]int64, lanes*n)
 	energy := make([]uint64, lanes*n)
-	halts := make([]uint64, lanes*n)
 	batch := &LockstepBatch{
 		Results:    make([]*Result, lanes),
 		Errs:       make([]error, lanes),
@@ -579,20 +618,17 @@ func (ls *lockstep) results() *LockstepBatch {
 	for l := 0; l < lanes; l++ {
 		lo, hi := l*n, (l+1)*n
 		res := &Result{
-			Outputs: outs[lo:hi:hi],
+			Outputs: ls.outs[lo:hi:hi],
 			Energy:  energy[lo:hi:hi],
 			Rounds:  ls.laneRounds[l],
 		}
-		hr := halts[lo:hi:hi]
 		for v := 0; v < n; v++ {
-			base := v*MaxLanes + l
-			res.Outputs[v] = ls.outs[base]
-			res.Energy[v] = ls.energy[base]
-			hr[v] = ls.haltR[base]
+			res.Energy[v] = ls.energy[v*MaxLanes+l]
 		}
 		batch.Results[l] = res
 		batch.Errs[l] = ls.laneErrs[l]
-		batch.HaltRounds[l] = hr
+		batch.HaltRounds[l] = ls.haltR[lo:hi:hi]
 	}
+	ls.outs, ls.haltR = nil, nil // the caller owns them now
 	return batch
 }

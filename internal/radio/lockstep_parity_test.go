@@ -209,10 +209,127 @@ func (p *drowsyLaneProgram) Step(node int, due, heard uint64, act *LaneActions) 
 	}
 }
 
+// spreadProgram fills the lockstep engine's per-node event lists: each of
+// two iterations opens with a sleep of 1–65536 rounds, a length the 64
+// lanes of a node almost surely all draw differently, so a node holds up
+// to 64 pending rounds at once. One action later the node sleeps out the
+// rest of a fixed span, which realigns its lanes (their events merge),
+// and eight coin rounds of transmit or listen follow.
+func spreadProgram(env *Env) int64 {
+	heard := int64(0)
+	for i := 0; i < 2; i++ {
+		x := uint64(env.Rand().Int63()&0xffff) + 1
+		env.Sleep(x)
+		if env.Rand().Int63()&1 == 1 {
+			env.TransmitBit()
+		} else {
+			env.Listen()
+		}
+		env.Sleep(0x10001 - x)
+		for j := 0; j < 8; j++ {
+			if env.Rand().Int63()&1 == 1 {
+				env.TransmitBit()
+			} else if env.Listen().Kind != Silence {
+				heard++
+			}
+		}
+	}
+	return heard
+}
+
+type spreadLaneState struct {
+	rng   uint64
+	x     uint64
+	heard int64
+	i, j  uint8
+	st    uint8
+}
+
+const (
+	spreadStSleep       = iota // next action: iteration i's long sleep
+	spreadStAct                // next action: transmit or listen, reception unused
+	spreadStRealign            // next action: sleep out the span
+	spreadStCoin               // next action: coin round j
+	spreadStAfterListen        // consume a coin round's listen
+)
+
+type spreadLaneProgram struct {
+	state []spreadLaneState
+}
+
+func (p *spreadLaneProgram) Bind(n int, seeds []uint64) {
+	if cap(p.state) < n*MaxLanes {
+		p.state = make([]spreadLaneState, n*MaxLanes)
+	}
+	p.state = p.state[:n*MaxLanes]
+	for v := 0; v < n; v++ {
+		base := v * MaxLanes
+		for l, seed := range seeds {
+			p.state[base+l] = spreadLaneState{rng: rng.Mix(seed, uint64(v))}
+		}
+	}
+}
+
+func (p *spreadLaneProgram) Step(node int, due, heard uint64, act *LaneActions) {
+	base := node * MaxLanes
+	for m := due; m != 0; m &= m - 1 {
+		l := bits.TrailingZeros64(m)
+		s := &p.state[base+l]
+		bit := uint64(1) << l
+		var out uint64
+	again:
+		switch s.st {
+		case spreadStSleep:
+			if s.i == 2 {
+				act.Halt |= bit
+				act.Output[l] = s.heard
+				break
+			}
+			s.rng, out = rng.SplitMix64(s.rng)
+			s.x = (out>>1)&0xffff + 1
+			act.Sleep[l] = s.x
+			s.st = spreadStAct
+		case spreadStAct:
+			s.rng, out = rng.SplitMix64(s.rng)
+			if (out>>1)&1 == 1 {
+				act.Transmit |= bit
+			} else {
+				act.Listen |= bit
+			}
+			s.st = spreadStRealign
+		case spreadStRealign:
+			act.Sleep[l] = 0x10001 - s.x
+			s.j = 0
+			s.st = spreadStCoin
+		case spreadStCoin:
+			if s.j == 8 {
+				s.i++
+				s.st = spreadStSleep
+				goto again
+			}
+			s.j++
+			s.rng, out = rng.SplitMix64(s.rng)
+			if (out>>1)&1 == 1 {
+				act.Transmit |= bit
+			} else {
+				act.Listen |= bit
+				s.st = spreadStAfterListen
+			}
+		case spreadStAfterListen:
+			if heard&bit != 0 {
+				s.heard++
+			}
+			s.st = spreadStCoin
+			goto again
+		}
+	}
+}
+
 func lockstepPairs() map[string]lanePair {
 	return map[string]lanePair{
 		"bench":  {scalar: benchProgram, lane: func() LaneProgram { return &benchLaneProgram{} }},
 		"drowsy": {scalar: drowsyProgram, lane: func() LaneProgram { return &drowsyLaneProgram{} }},
+		"spread": {scalar: spreadProgram, lane: func() LaneProgram { return &spreadLaneProgram{} }},
 	}
 }
 
@@ -503,14 +620,280 @@ func TestLockstepParityMaxRounds(t *testing.T) {
 func TestLockstepRagged65(t *testing.T) {
 	g := graph.GNP(200, 4.0/200, rand.New(rand.NewSource(11)))
 	seeds := laneSeeds(65, 9)
-	pool := NewPool(2)
-	defer pool.Close()
-	ctx := WithPool(context.Background(), pool)
-	pair := lockstepPairs()["bench"]
+	for pname, pair := range lockstepPairs() {
+		t.Run(pname, func(t *testing.T) {
+			pool := NewPool(2)
+			defer pool.Close()
+			ctx := WithPool(context.Background(), pool)
+			for _, chunk := range [][]uint64{seeds[:64], seeds[64:]} {
+				c := Config{Model: ModelCD, Ctx: ctx}
+				runBothLockstep(t, g, c, pair, chunk)
+			}
+		})
+	}
+}
 
-	for _, chunk := range [][]uint64{seeds[:64], seeds[64:]} {
-		c := Config{Model: ModelCD, Ctx: ctx}
-		runBothLockstep(t, g, c, pair, chunk)
+// eventProbe wraps a lane program and records the longest event list any
+// node held: at each Step it reads the list of the node stepped before,
+// whose insertions are complete by then.
+type eventProbe struct {
+	LaneProgram
+	ls      *lockstep
+	last    int
+	longest int
+}
+
+func (p *eventProbe) Step(node int, due, heard uint64, act *LaneActions) {
+	p.longest = max(p.longest, int(p.ls.evLen[p.last]))
+	p.last = node
+	p.LaneProgram.Step(node, due, heard, act)
+}
+
+// TestLockstepEventListFull checks the premise of the spread pair: on a
+// 64-lane batch its lane-distinct sleeps fill a node's event list to
+// MaxLanes entries, the list's full capacity.
+func TestLockstepEventListFull(t *testing.T) {
+	g := graph.Cycle(97)
+	cfg := Config{Model: ModelCD}
+	seeds := laneSeeds(MaxLanes, 0x5b1d)
+	var ls lockstep
+	ls.bind(g, graph.BuildCSR(g), &cfg, len(seeds), DefaultMaxRounds)
+	probe := &eventProbe{LaneProgram: &spreadLaneProgram{}, ls: &ls}
+	probe.Bind(g.N(), seeds)
+	if _, err := ls.run(probe); err != nil {
+		t.Fatal(err)
+	}
+	if probe.longest != MaxLanes {
+		t.Fatalf("longest event list = %d, want %d", probe.longest, MaxLanes)
+	}
+}
+
+// starUnaryProgram, run on a star centered on node 0, kills lanes while
+// their events are still queued at the leaves. The center's coin decides
+// a lane's fate. On even, it transmits a unary bit in round 0 and halts;
+// the leaves, listening in round 0, hear it and halt too. On odd, it
+// stays silent, sleeps 1–32 rounds and sends a non-unary payload, which
+// under UnaryOnly kills the lane at a staggered round; the leaves hear
+// silence and sleep 1–64 rounds before a last listen, so the lane dies
+// with leaf events queued, and the run ends before the latest are
+// reached.
+func starUnaryProgram(env *Env) int64 {
+	if env.ID() == 0 {
+		if env.Rand().Int63()&1 == 0 {
+			env.TransmitBit()
+			return 1
+		}
+		env.Sleep(uint64(env.Rand().Int63()&31) + 1)
+		env.Transmit(99)
+		return 2
+	}
+	if env.Listen().Kind != Silence {
+		return 1
+	}
+	env.Sleep(uint64(env.Rand().Int63()&63) + 1)
+	env.Listen()
+	return 2
+}
+
+// Stages of starUnaryLaneProgram, in the order a dying lane passes them.
+const (
+	starStStart   = iota // center: coin; leaf: listen
+	starStDecide         // center: send 99; leaf: halt on heard, else sleep
+	starStListen         // leaf: last listen
+	starStHalt           // halt with output 2
+	starStHaltWon        // halt with output 1 (the lane survives)
+)
+
+type starUnaryLaneProgram struct {
+	rng []uint64
+	st  []uint8
+}
+
+func (p *starUnaryLaneProgram) Bind(n int, seeds []uint64) {
+	p.rng = make([]uint64, n*MaxLanes)
+	p.st = make([]uint8, n*MaxLanes)
+	for v := 0; v < n; v++ {
+		for l, seed := range seeds {
+			p.rng[v*MaxLanes+l] = rng.Mix(seed, uint64(v))
+		}
+	}
+}
+
+func (p *starUnaryLaneProgram) Step(node int, due, heard uint64, act *LaneActions) {
+	base := node * MaxLanes
+	for m := due; m != 0; m &= m - 1 {
+		l := bits.TrailingZeros64(m)
+		bit := uint64(1) << l
+		st, r := &p.st[base+l], &p.rng[base+l]
+		var out uint64
+		switch {
+		case *st == starStStart && node == 0:
+			act.HasPayload = true
+			if *r, out = rng.SplitMix64(*r); (out>>1)&1 == 0 {
+				act.Transmit |= bit
+				act.Payload[l] = 1
+				*st = starStHaltWon
+				continue
+			}
+			*r, out = rng.SplitMix64(*r)
+			act.Sleep[l] = (out>>1)&31 + 1
+			*st = starStDecide
+		case *st == starStStart:
+			act.Listen |= bit
+			*st = starStDecide
+		case *st == starStDecide && node == 0:
+			act.HasPayload = true
+			act.Transmit |= bit
+			act.Payload[l] = 99
+			*st = starStHalt
+		case *st == starStDecide:
+			if heard&bit != 0 {
+				act.Halt |= bit
+				act.Output[l] = 1
+				continue
+			}
+			*r, out = rng.SplitMix64(*r)
+			act.Sleep[l] = (out>>1)&63 + 1
+			*st = starStListen
+		case *st == starStListen:
+			act.Listen |= bit
+			*st = starStHalt
+		case *st == starStHalt:
+			act.Halt |= bit
+			act.Output[l] = 2
+		case *st == starStHaltWon:
+			act.Halt |= bit
+			act.Output[l] = 1
+		}
+	}
+}
+
+// TestLockstepDeadLaneEventsDoNotLeak runs a UnaryOnly batch whose lanes
+// die with events still queued at other nodes, then a second batch on the
+// same Pool: the second must equal a pool-less run, so no event of the
+// first batch leaks into it.
+func TestLockstepDeadLaneEventsDoNotLeak(t *testing.T) {
+	g := graph.Star(40)
+	pair := lanePair{scalar: starUnaryProgram, lane: func() LaneProgram { return &starUnaryLaneProgram{} }}
+	dying := Config{Model: ModelCD, UnaryOnly: true}
+	seeds := laneSeeds(MaxLanes, 0xdead)
+	runBothLockstep(t, g, dying, pair, seeds)
+
+	pool := NewPool(1)
+	defer pool.Close()
+	pooled := func(cfg Config) Config {
+		cfg.Ctx = WithPool(context.Background(), pool)
+		return cfg
+	}
+	first, err := RunLockstep(g, pooled(dying), pair.lane(), seeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	died := 0
+	for _, lerr := range first.Errs {
+		if errors.Is(lerr, ErrNotUnary) {
+			died++
+		}
+	}
+	queued := 0
+	for _, c := range pool.lk.evLen {
+		queued += int(c)
+	}
+	if died == 0 || died == MaxLanes || queued == 0 {
+		t.Fatalf("want a mixed batch that leaves dead lanes' events queued, got %d/%d dead lanes, %d queued events",
+			died, MaxLanes, queued)
+	}
+
+	// The second batch runs without UnaryOnly, so every lane completes
+	// and the whole batch can be compared.
+	clean := Config{Model: ModelCD}
+	seeds2 := laneSeeds(MaxLanes, 0xbeef)
+	want, err := RunLockstep(g, clean, pair.lane(), seeds2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := RunLockstep(g, pooled(clean), pair.lane(), seeds2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("second pooled batch diverges from a pool-less run\n got: %+v\nwant: %+v", got, want)
+	}
+	runBothLockstep(t, g, clean, pair, seeds2)
+}
+
+// clampLaneProgram returns Sleep 0, Sleep 1 and Sleep 5 for lanes l%3 =
+// 0, 1, 2 of the same Step, then listens once and halts. It records the
+// due mask of each node's second step.
+type clampLaneProgram struct {
+	steps  []uint8
+	second [][]uint64 // per node, the due masks its second steps came in
+}
+
+func (p *clampLaneProgram) Bind(n int, seeds []uint64) {
+	p.steps = make([]uint8, n*MaxLanes)
+	p.second = make([][]uint64, n)
+}
+
+func (p *clampLaneProgram) Step(node int, due, heard uint64, act *LaneActions) {
+	var second uint64
+	for m := due; m != 0; m &= m - 1 {
+		l := bits.TrailingZeros64(m)
+		switch p.steps[node*MaxLanes+l] {
+		case 0:
+			act.Sleep[l] = [3]uint64{0, 1, 5}[l%3]
+		case 1:
+			second |= 1 << l
+			act.Listen |= 1 << l
+		default:
+			act.Halt |= 1 << l
+		}
+		p.steps[node*MaxLanes+l]++
+	}
+	if second != 0 {
+		p.second[node] = append(p.second[node], second)
+	}
+}
+
+// TestLockstepSleepZeroClamp pins the LaneActions promise that a zero
+// sleep is clamped to one: the run finishes, and Sleep-0 lanes are stepped
+// in the next round together with the Sleep-1 lanes, in one due mask.
+func TestLockstepSleepZeroClamp(t *testing.T) {
+	g := graph.Cycle(10)
+	lp := &clampLaneProgram{}
+	batch, err := RunLockstep(g, Config{Model: ModelCD, MaxRounds: 100}, lp, laneSeeds(MaxLanes, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var short, long uint64 // lanes that slept 0 or 1 rounds, and 5 rounds
+	for l := 0; l < MaxLanes; l++ {
+		if l%3 == 2 {
+			long |= 1 << l
+		} else {
+			short |= 1 << l
+		}
+	}
+	for l := 0; l < MaxLanes; l++ {
+		if batch.Errs[l] != nil {
+			t.Fatalf("lane %d: %v", l, batch.Errs[l])
+		}
+		listen := uint64(1) // the round of the lane's listen
+		if l%3 == 2 {
+			listen = 5
+		}
+		if got := batch.Results[l].Rounds; got != listen+1 {
+			t.Fatalf("lane %d: Rounds = %d, want %d", l, got, listen+1)
+		}
+		for v, hr := range batch.HaltRounds[l] {
+			if hr != listen+1 {
+				t.Fatalf("lane %d node %d: halt round = %d, want %d", l, v, hr, listen+1)
+			}
+		}
+	}
+	for v, masks := range lp.second {
+		if !reflect.DeepEqual(masks, []uint64{short, long}) {
+			t.Fatalf("node %d: second-step due masks = %#x, want [%#x %#x]", v, masks, short, long)
+		}
 	}
 }
 
@@ -544,9 +927,10 @@ func TestLockstepRejectsScalarOnlyConfig(t *testing.T) {
 }
 
 // TestLockstepPooledSteadyStateAllocs pins the lane path's steady-state
-// allocation budget: a warm pooled batch allocates only the per-lane
-// result transposition (a handful of backing arrays plus one Result
-// header per lane) — nothing per round or per node.
+// allocation budget: a warm pooled batch allocates only what it returns
+// (the outputs and halt-round arrays bind allocates, the energy array
+// results transposes into, and one Result header per lane) — nothing per
+// round or per node.
 func TestLockstepPooledSteadyStateAllocs(t *testing.T) {
 	g := graph.GNP(512, 8.0/512, rand.New(rand.NewSource(7)))
 	pool := NewPool(1)
@@ -563,8 +947,8 @@ func TestLockstepPooledSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// 64 Result headers + 3 shared backing arrays + 4 batch slices + the
-	// batch header ≈ 72; anything near per-round or per-node counts
+	// 64 Result headers + 3 shared backing arrays + 3 batch slices + the
+	// batch header ≈ 71; anything near per-round or per-node counts
 	// (hundreds+) means the engine started allocating on the hot path.
 	if avg > 90 {
 		t.Fatalf("steady-state pooled lockstep batch allocates %.0f times, want ≤ 90 (result assembly only)", avg)
