@@ -30,16 +30,16 @@ import (
 	"radiomis/internal/rng"
 )
 
-// benchSolve runs a solver repeatedly on the given family/size and reports
-// energy and round metrics.
-func benchSolve(b *testing.B, fam graph.Family, n int, solve func(*graph.Graph, mis.Params, uint64) (*mis.Result, error)) {
+// benchSolve runs the named algorithm repeatedly on the given family/size
+// and reports energy and round metrics.
+func benchSolve(b *testing.B, fam graph.Family, n int, algo string) {
 	b.Helper()
 	g := graph.Generate(fam, n, rng.New(uint64(n)))
 	p := mis.ParamsDefault(g.N(), g.MaxDegree())
 	var maxE, rounds, failures uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := solve(g, p, uint64(i))
+		res, err := mis.Run(algo, g, p, mis.RunOpts{Seed: uint64(i)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -61,11 +61,11 @@ func benchSolve(b *testing.B, fam graph.Family, n int, solve func(*graph.Graph, 
 func BenchmarkCD(b *testing.B) {
 	for _, n := range []int{256, 1024, 4096, 16384} {
 		b.Run(fmt.Sprintf("gnp/n=%d", n), func(b *testing.B) {
-			benchSolve(b, graph.FamilyGNP, n, mis.SolveCD)
+			benchSolve(b, graph.FamilyGNP, n, "cd")
 		})
 	}
 	b.Run("clique/n=512", func(b *testing.B) {
-		benchSolve(b, graph.FamilyClique, 512, mis.SolveCD)
+		benchSolve(b, graph.FamilyClique, 512, "cd")
 	})
 }
 
@@ -74,7 +74,7 @@ func BenchmarkCD(b *testing.B) {
 func BenchmarkBeeping(b *testing.B) {
 	for _, n := range []int{256, 1024} {
 		b.Run(fmt.Sprintf("grid/n=%d", n), func(b *testing.B) {
-			benchSolve(b, graph.FamilyGrid, n, mis.SolveBeep)
+			benchSolve(b, graph.FamilyGrid, n, "beep")
 		})
 	}
 }
@@ -84,7 +84,7 @@ func BenchmarkBeeping(b *testing.B) {
 func BenchmarkNoCD(b *testing.B) {
 	for _, n := range []int{64, 128, 256} {
 		b.Run(fmt.Sprintf("gnp/n=%d", n), func(b *testing.B) {
-			benchSolve(b, graph.FamilyGNP, n, mis.SolveNoCD)
+			benchSolve(b, graph.FamilyGNP, n, "nocd")
 		})
 	}
 }
@@ -94,7 +94,7 @@ func BenchmarkNoCD(b *testing.B) {
 func BenchmarkComparisonCD(b *testing.B) {
 	for _, n := range []int{256, 1024, 4096} {
 		b.Run(fmt.Sprintf("naive-luby/n=%d", n), func(b *testing.B) {
-			benchSolve(b, graph.FamilyGNP, n, mis.SolveNaiveCD)
+			benchSolve(b, graph.FamilyGNP, n, "naive-cd")
 		})
 	}
 }
@@ -104,12 +104,12 @@ func BenchmarkComparisonCD(b *testing.B) {
 func BenchmarkComparisonNoCD(b *testing.B) {
 	for _, n := range []int{64, 128, 256} {
 		b.Run(fmt.Sprintf("davies/n=%d", n), func(b *testing.B) {
-			benchSolve(b, graph.FamilyGNP, n, mis.SolveLowDegree)
+			benchSolve(b, graph.FamilyGNP, n, "lowdegree")
 		})
 	}
 	for _, n := range []int{64, 128} {
 		b.Run(fmt.Sprintf("naive-sim/n=%d", n), func(b *testing.B) {
-			benchSolve(b, graph.FamilyGNP, n, mis.SolveNaiveNoCD)
+			benchSolve(b, graph.FamilyGNP, n, "naive-nocd")
 		})
 	}
 }
@@ -119,7 +119,7 @@ func BenchmarkComparisonNoCD(b *testing.B) {
 func BenchmarkUnknownDelta(b *testing.B) {
 	for _, n := range []int{48, 96} {
 		b.Run(fmt.Sprintf("gnp/n=%d", n), func(b *testing.B) {
-			benchSolve(b, graph.FamilyGNP, n, mis.SolveUnknownDelta)
+			benchSolve(b, graph.FamilyGNP, n, "unknown-delta")
 		})
 	}
 }
@@ -255,7 +255,7 @@ func BenchmarkBackbone(b *testing.B) {
 			p := mis.ParamsDefault(g.N(), g.MaxDegree())
 			var saving float64
 			for i := 0; i < b.N; i++ {
-				misRun, err := mis.SolveCD(g, p, uint64(i))
+				misRun, err := mis.Run("cd", g, p, mis.RunOpts{Seed: uint64(i)})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -23,11 +23,11 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"radiomis/internal/graph"
 	"radiomis/internal/mis"
@@ -71,9 +71,14 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	// Assemble the observer chain: the timeline still uses the legacy
-	// RecordingTracer; breakdowns and exporters attach as Observers.
+	// Assemble the observer chain: the timeline, breakdowns and exporters
+	// all attach as Observers.
 	var observers radio.MultiObserver
+	var tl *timeline
+	if *width > 0 {
+		tl = newTimeline(g.N(), *width)
+		observers = append(observers, tl)
+	}
 	var breakdown *obs.PhaseBreakdown
 	var counter *obs.Counter
 	if *phases {
@@ -82,28 +87,27 @@ func run(args []string, out io.Writer) error {
 		observers = append(observers, breakdown, counter)
 	}
 	var jw *obs.JSONLWriter
+	var jf *os.File
 	if *jsonlPath != "" {
-		f, err := os.Create(*jsonlPath)
-		if err != nil {
+		if jf, err = os.Create(*jsonlPath); err != nil {
 			return err
 		}
-		defer f.Close()
-		jw = obs.NewJSONLWriter(f)
+		defer jf.Close() // error paths only; success closes below
+		jw = obs.NewJSONLWriter(jf)
 		observers = append(observers, jw)
 	}
 	var ct *obs.ChromeTracer
+	var cf *os.File
 	if *chromePath != "" {
-		f, err := os.Create(*chromePath)
-		if err != nil {
+		if cf, err = os.Create(*chromePath); err != nil {
 			return err
 		}
-		defer f.Close()
-		ct = obs.NewChromeTracer(f)
+		defer cf.Close() // error paths only; success closes below
+		ct = obs.NewChromeTracer(cf)
 		observers = append(observers, ct)
 	}
 
-	rec := &radio.RecordingTracer{}
-	cfg := radio.Config{Model: model, Seed: *seed, UnaryOnly: unaryOnly, Tracer: rec}
+	cfg := radio.Config{Model: model, Seed: *seed, UnaryOnly: unaryOnly}
 	if len(observers) > 0 {
 		cfg.Observer = observers
 	}
@@ -115,16 +119,22 @@ func run(args []string, out io.Writer) error {
 		if err := jw.Flush(); err != nil {
 			return fmt.Errorf("jsonl export: %w", err)
 		}
+		if err := jf.Close(); err != nil {
+			return fmt.Errorf("jsonl export: %w", err)
+		}
 	}
 	if ct != nil {
 		if err := ct.Close(); err != nil {
 			return fmt.Errorf("chrome export: %w", err)
 		}
+		if err := cf.Close(); err != nil {
+			return fmt.Errorf("chrome export: %w", err)
+		}
 	}
 
 	fmt.Fprintf(out, "%s  algo=%s model=%s seed=%d\n", g, *algo, model, *seed)
-	if *width > 0 {
-		renderTimeline(out, g, rec, rr, *width)
+	if tl != nil {
+		tl.render(out, rr)
 	}
 	fmt.Fprintf(out, "\nmax energy %d, avg %.1f, rounds %d\n",
 		maxOf(rr.Energy), avg(rr.Energy), rr.Rounds)
@@ -169,34 +179,52 @@ func selectAlgo(algo string, p mis.Params) (radio.Program, radio.Model, bool, er
 	return nil, 0, false, fmt.Errorf("unknown algorithm %q (supported: cd, beep, naive-cd, nocd)", algo)
 }
 
-func renderTimeline(out io.Writer, g *graph.Graph, rec *radio.RecordingTracer, rr *radio.Result, width int) {
-	rounds := int(rr.Rounds)
-	if rounds > width {
-		rounds = width
-	}
-	rows := make([][]byte, g.N())
-	for v := range rows {
-		rows[v] = []byte(strings.Repeat(".", rounds))
-	}
-	for _, ev := range rec.Events {
-		if ev.Round >= uint64(rounds) {
-			continue
-		}
-		for _, v := range ev.Transmitters {
-			rows[v][ev.Round] = 'T'
-		}
-		for _, v := range ev.Listeners {
-			rows[v][ev.Round] = 'L'
-		}
-	}
-	for v, r := range rec.HaltRound {
-		if r < uint64(rounds) && rows[v][r] == '.' {
-			rows[v][r] = '*'
-		}
-	}
+// timeline is an Observer that draws the awake schedule straight into
+// width-bounded rows: T for a transmit, L for a listen, . for sleep. Its
+// memory is n×width bytes however long the run is.
+type timeline struct {
+	rows  [][]byte
+	width int
+}
 
+func newTimeline(n, width int) *timeline {
+	rows := make([][]byte, n)
+	for v := range rows {
+		rows[v] = bytes.Repeat([]byte{'.'}, width)
+	}
+	return &timeline{rows: rows, width: width}
+}
+
+// ObserveRound implements radio.Observer.
+func (t *timeline) ObserveRound(s *radio.RoundStats) {
+	if s.Round >= uint64(t.width) {
+		return
+	}
+	for _, tx := range s.Transmitters {
+		t.rows[tx.ID][s.Round] = 'T'
+	}
+	for _, rx := range s.Listeners {
+		t.rows[rx.ID][s.Round] = 'L'
+	}
+}
+
+// ObserveHalt implements radio.Observer; halt marks come from
+// Result.HaltRound at render time.
+func (t *timeline) ObserveHalt(int, int64, uint64, uint64) {}
+
+// render prints the first min(rr.Rounds, width) rounds of every row, with
+// * marking the round a node halted in when it falls on a sleep cell.
+func (t *timeline) render(out io.Writer, rr *radio.Result) {
+	rounds := t.width
+	if rr.Rounds < uint64(rounds) {
+		rounds = int(rr.Rounds)
+	}
 	fmt.Fprintf(out, "T=transmit L=listen .=sleep *=halt   (%d of %d rounds shown)\n\n", rounds, rr.Rounds)
-	for v, row := range rows {
+	for v, row := range t.rows {
+		row = row[:rounds]
+		if r := rr.HaltRound[v]; r < uint64(rounds) && row[r] == '.' {
+			row[r] = '*'
+		}
 		status := mis.Status(rr.Outputs[v])
 		fmt.Fprintf(out, "node %3d %-9s E=%-4d |%s|\n", v, status, rr.Energy[v], row)
 	}

@@ -14,9 +14,29 @@ import (
 	"radiomis/internal/radio"
 )
 
+// TestRunTimeline compares the rendered timeline byte for byte against
+// golden files: a CD run whose rows end in * halt marks, and a no-CD run
+// truncated at the -width bound.
 func TestRunTimeline(t *testing.T) {
-	if err := run([]string{"-n", "8", "-graph", "cycle", "-algo", "cd", "-width", "60"}, io.Discard); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		golden string
+		args   []string
+	}{
+		{"cd_cycle12.golden", []string{"-n", "12", "-graph", "cycle", "-algo", "cd", "-width", "120"}},
+		{"nocd_cycle6.golden", []string{"-n", "6", "-graph", "cycle", "-algo", "nocd", "-width", "40"}},
+	} {
+		want, err := os.ReadFile(filepath.Join("testdata", tc.golden))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		if err := run(tc.args, &out); err != nil {
+			t.Fatal(err)
+		}
+		if got := out.Bytes(); !bytes.Equal(got, want) {
+			t.Errorf("energytrace %s: output differs from testdata/%s\n got:\n%s\nwant:\n%s",
+				strings.Join(tc.args, " "), tc.golden, got, want)
+		}
 	}
 }
 

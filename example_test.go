@@ -8,7 +8,7 @@ import (
 
 // The basic workflow: generate a topology, run the energy-optimal CD
 // algorithm, verify, and inspect the energy bill.
-func ExampleSolveCD() {
+func ExampleSolve() {
 	g := radiomis.Cycle(64)
 	p := radiomis.DefaultParams(g.N(), g.MaxDegree())
 	res, err := radiomis.Solve(g, radiomis.Spec{Algorithm: "cd", Params: p, Seed: 41})
@@ -25,11 +25,11 @@ func ExampleSolveCD() {
 
 // Algorithm 1 runs unchanged in the beeping model and makes identical
 // decisions under identical randomness (§3.1).
-func ExampleSolveBeep() {
+func ExampleSolve_beep() {
 	g := radiomis.Grid(8, 8)
 	p := radiomis.DefaultParams(g.N(), g.MaxDegree())
-	cd, _ := radiomis.SolveCD(g, p, 7)
-	beep, _ := radiomis.SolveBeep(g, p, 7)
+	cd, _ := radiomis.Solve(g, radiomis.Spec{Algorithm: "cd", Params: p, Seed: 7})
+	beep, _ := radiomis.Solve(g, radiomis.Spec{Algorithm: "beep", Params: p, Seed: 7})
 	same := true
 	for v := range cd.Status {
 		if cd.Status[v] != beep.Status[v] {
@@ -43,10 +43,10 @@ func ExampleSolveBeep() {
 
 // The no-CD algorithm trades rounds for energy: its awake count stays far
 // below its round count.
-func ExampleSolveNoCD() {
+func ExampleSolve_nocd() {
 	g := radiomis.GNP(64, 0.1, 3)
 	p := radiomis.DefaultParams(g.N(), g.MaxDegree())
-	res, err := radiomis.SolveNoCD(g, p, 5)
+	res, err := radiomis.Solve(g, radiomis.Spec{Algorithm: "nocd", Params: p, Seed: 5})
 	if err != nil {
 		fmt.Println("error:", err)
 		return
@@ -64,7 +64,7 @@ func ExampleSolveNoCD() {
 func ExampleBuildBackbone() {
 	g := radiomis.Grid(10, 10)
 	p := radiomis.DefaultParams(g.N(), g.MaxDegree())
-	res, _ := radiomis.SolveCD(g, p, 1)
+	res, _ := radiomis.Solve(g, radiomis.Spec{Algorithm: "cd", Params: p, Seed: 1})
 	b, err := radiomis.BuildBackbone(g, res.InMIS)
 	if err != nil {
 		fmt.Println("error:", err)

@@ -14,7 +14,7 @@ import (
 func buildOn(t *testing.T, g *graph.Graph, seed uint64) *Backbone {
 	t.Helper()
 	p := mis.ParamsDefault(g.N(), g.MaxDegree())
-	res, err := mis.SolveCD(g, p, seed)
+	res, err := mis.Run("cd", g, p, mis.RunOpts{Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,31 +20,19 @@ import (
 	"radiomis/internal/rng"
 )
 
-// cleanSolvers are the historical per-algorithm entry points, which know
-// nothing about fault profiles.
-var cleanSolvers = map[string]func(context.Context, *graph.Graph, mis.Params, uint64) (*mis.Result, error){
-	"cd":            mis.SolveCDContext,
-	"beep":          mis.SolveBeepContext,
-	"nocd":          mis.SolveNoCDContext,
-	"lowdegree":     mis.SolveLowDegreeContext,
-	"naive-cd":      mis.SolveNaiveCDContext,
-	"naive-nocd":    mis.SolveNaiveNoCDContext,
-	"unknown-delta": mis.SolveUnknownDeltaContext,
-}
-
-// TestZeroProfileMatchesCleanSolvers checks, for every algorithm × family ×
-// seed, that SolveWithFaults under the zero profile returns a Result deeply
-// equal to the fault-oblivious solver's — same statuses, energies, rounds,
-// and no fault bookkeeping.
+// TestZeroProfileMatchesCleanSolvers checks, for every radio algorithm ×
+// family × seed, that SolveWithFaults under the zero profile returns a
+// Result deeply equal to a Run with no fault profile at all — same
+// statuses, energies, rounds, and no fault bookkeeping.
 func TestZeroProfileMatchesCleanSolvers(t *testing.T) {
 	ctx := context.Background()
 	families := []graph.Family{graph.FamilyGNP, graph.FamilyGrid, graph.FamilyTree}
-	for algo, solve := range cleanSolvers {
+	for _, algo := range []string{"cd", "beep", "nocd", "lowdegree", "naive-cd", "naive-nocd", "unknown-delta"} {
 		for _, fam := range families {
 			for seed := uint64(1); seed <= 2; seed++ {
 				g := graph.Generate(fam, 64, rng.New(seed))
 				p := mis.ParamsDefault(g.N(), g.MaxDegree())
-				want, err := solve(ctx, g, p, seed)
+				want, err := mis.Run(algo, g, p, mis.RunOpts{Seed: seed, Ctx: ctx})
 				if err != nil {
 					t.Fatalf("%s/%s/%d clean: %v", algo, fam, seed, err)
 				}

@@ -15,7 +15,7 @@ import (
 // deterministic in the seed alone.
 func trialSolve(ctx context.Context, seed uint64) (Metrics, error) {
 	g := graph.GNP(64, 8.0/64, rng.New(seed))
-	res, err := mis.SolveCDContext(ctx, g, mis.ParamsDefault(g.N(), g.MaxDegree()), seed)
+	res, err := mis.Run("cd", g, mis.ParamsDefault(g.N(), g.MaxDegree()), mis.RunOpts{Seed: seed, Ctx: ctx})
 	if err != nil {
 		return nil, err
 	}

@@ -36,7 +36,7 @@ func TestAblationsStillProduceMIS(t *testing.T) {
 			p := ParamsDefault(g.N(), g.MaxDegree())
 			p.Ablate = abl
 			for seed := uint64(0); seed < 3; seed++ {
-				res, err := SolveNoCD(g, p, seed)
+				res, err := Run("nocd", g, p, RunOpts{Seed: seed})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -67,11 +67,11 @@ func TestAblationDeepShallowCostsMoreEnergy(t *testing.T) {
 
 	var baseAvg, deepAvg float64
 	for seed := uint64(0); seed < 3; seed++ {
-		rb, err := SolveNoCD(g, base, seed)
+		rb, err := Run("nocd", g, base, RunOpts{Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
-		rd, err := SolveNoCD(g, deep, seed)
+		rd, err := Run("nocd", g, deep, RunOpts{Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +90,7 @@ func TestAblationNoCommitKeepsWinnersDeciding(t *testing.T) {
 	g := graph.Cycle(64)
 	p := ParamsDefault(64, 2)
 	p.Ablate = Ablations{NoCommit: true}
-	res, err := SolveNoCD(g, p, 5)
+	res, err := Run("nocd", g, p, RunOpts{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestAblationNoShallowCheckStillDecides(t *testing.T) {
 	g := graph.GNP(64, 0.1, rng.New(72))
 	p := ParamsDefault(g.N(), g.MaxDegree())
 	p.Ablate = Ablations{NoShallowCheck: true}
-	res, err := SolveNoCD(g, p, 8)
+	res, err := Run("nocd", g, p, RunOpts{Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

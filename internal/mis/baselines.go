@@ -1,10 +1,7 @@
 package mis
 
 import (
-	"context"
-
 	"radiomis/internal/backoff"
-	"radiomis/internal/graph"
 	"radiomis/internal/radio"
 	"radiomis/internal/rng"
 )
@@ -47,20 +44,6 @@ func NaiveCDProgram(p Params) radio.Program {
 	}
 }
 
-// SolveNaiveCD runs the non-energy-optimized Luby baseline in the CD model.
-//
-// Deprecated: use Run("naive-cd", ...) or RunMany for batches.
-func SolveNaiveCD(g *graph.Graph, p Params, seed uint64) (*Result, error) {
-	return SolveNaiveCDContext(context.Background(), g, p, seed)
-}
-
-// SolveNaiveCDContext is SolveNaiveCD bounded by ctx.
-//
-// Deprecated: use Run("naive-cd", ...) with RunOpts.Ctx.
-func SolveNaiveCDContext(ctx context.Context, g *graph.Graph, p Params, seed uint64) (*Result, error) {
-	return Run("naive-cd", g, p, RunOpts{Seed: seed, Ctx: ctx})
-}
-
 // NaiveNoCDProgram simulates Algorithm 1 in the no-CD model the naive way
 // (§1.3, §5.1): every CD round is replaced by a full traditional-Decay
 // backoff of k = ⌈C′ log n⌉ iterations so that each simulated round
@@ -101,18 +84,4 @@ func NaiveNoCDProgram(p Params) radio.Program {
 		}
 		return int64(StatusUndecided)
 	}
-}
-
-// SolveNaiveNoCD runs the naive no-CD simulation baseline.
-//
-// Deprecated: use Run("naive-nocd", ...) or RunMany for batches.
-func SolveNaiveNoCD(g *graph.Graph, p Params, seed uint64) (*Result, error) {
-	return SolveNaiveNoCDContext(context.Background(), g, p, seed)
-}
-
-// SolveNaiveNoCDContext is SolveNaiveNoCD bounded by ctx.
-//
-// Deprecated: use Run("naive-nocd", ...) with RunOpts.Ctx.
-func SolveNaiveNoCDContext(ctx context.Context, g *graph.Graph, p Params, seed uint64) (*Result, error) {
-	return Run("naive-nocd", g, p, RunOpts{Seed: seed, Ctx: ctx})
 }

@@ -33,7 +33,7 @@ func TestBreakdownMatchesPlainRun(t *testing.T) {
 	// statuses and energies as the plain solver.
 	g := graph.GNP(48, 0.12, rng.New(121))
 	p := ParamsDefault(g.N(), g.MaxDegree())
-	plain, err := SolveNoCD(g, p, 9)
+	plain, err := Run("nocd", g, p, RunOpts{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,6 @@
 package mis
 
 import (
-	"context"
-
-	"radiomis/internal/graph"
 	"radiomis/internal/radio"
 	"radiomis/internal/rng"
 )
@@ -59,40 +56,6 @@ func CDProgram(p Params) radio.Program {
 		}
 		return int64(StatusUndecided)
 	}
-}
-
-// SolveCD runs Algorithm 1 on g in the CD model and returns the computed
-// result. The run is deterministic in (g, p, seed).
-//
-// Deprecated: use Run("cd", ...) or RunMany for batches.
-func SolveCD(g *graph.Graph, p Params, seed uint64) (*Result, error) {
-	return SolveCDContext(context.Background(), g, p, seed)
-}
-
-// SolveCDContext is SolveCD bounded by ctx: cancellation aborts the
-// simulation at the next round boundary. Cancellation never changes a
-// completed run's outcome — the same (g, p, seed) still yields bit-for-bit
-// identical results.
-//
-// Deprecated: use Run("cd", ...) with RunOpts.Ctx.
-func SolveCDContext(ctx context.Context, g *graph.Graph, p Params, seed uint64) (*Result, error) {
-	return Run("cd", g, p, RunOpts{Seed: seed, Ctx: ctx})
-}
-
-// SolveBeep runs Algorithm 1 unchanged in the beeping model (§3.1): every
-// "transmit 1" becomes a beep and "heard 1 or collision" becomes "heard a
-// beep". Round and energy complexities are identical to the CD run.
-//
-// Deprecated: use Run("beep", ...) or RunMany for batches.
-func SolveBeep(g *graph.Graph, p Params, seed uint64) (*Result, error) {
-	return SolveBeepContext(context.Background(), g, p, seed)
-}
-
-// SolveBeepContext is SolveBeep bounded by ctx.
-//
-// Deprecated: use Run("beep", ...) with RunOpts.Ctx.
-func SolveBeepContext(ctx context.Context, g *graph.Graph, p Params, seed uint64) (*Result, error) {
-	return Run("beep", g, p, RunOpts{Seed: seed, Ctx: ctx})
 }
 
 // CDRoundBudget returns the exact worst-case round count of Algorithm 1

@@ -34,7 +34,7 @@ func TestSolveCDProducesMISAllFamilies(t *testing.T) {
 	for name, g := range testFamilies(t, 128, 1) {
 		t.Run(name, func(t *testing.T) {
 			p := ParamsDefault(g.N(), g.MaxDegree())
-			res, err := SolveCD(g, p, 42)
+			res, err := Run("cd", g, p, RunOpts{Seed: 42})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -50,7 +50,7 @@ func TestSolveCDManySeeds(t *testing.T) {
 	g := graph.GNP(200, 0.05, r)
 	p := ParamsDefault(g.N(), g.MaxDegree())
 	for seed := uint64(0); seed < 30; seed++ {
-		res, err := SolveCD(g, p, seed)
+		res, err := Run("cd", g, p, RunOpts{Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,7 +63,7 @@ func TestSolveCDManySeeds(t *testing.T) {
 func TestSolveCDRoundBudgetRespected(t *testing.T) {
 	g := graph.Complete(64)
 	p := ParamsDefault(64, 63)
-	res, err := SolveCD(g, p, 7)
+	res, err := Run("cd", g, p, RunOpts{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestSolveCDEnergyLogarithmic(t *testing.T) {
 		p := ParamsDefault(n, g.MaxDegree())
 		var worst uint64
 		for seed := uint64(0); seed < 5; seed++ {
-			res, err := SolveCD(g, p, seed)
+			res, err := Run("cd", g, p, RunOpts{Seed: seed})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -105,7 +105,7 @@ func TestSolveCDEnergyLogarithmic(t *testing.T) {
 }
 
 func TestSolveCDIsolatedNodesJoin(t *testing.T) {
-	res, err := SolveCD(graph.Empty(32), ParamsDefault(32, 0), 3)
+	res, err := Run("cd", graph.Empty(32), ParamsDefault(32, 0), RunOpts{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,11 +128,11 @@ func TestSolveCDIsolatedNodesJoin(t *testing.T) {
 func TestSolveCDDeterministic(t *testing.T) {
 	g := graph.GNP(100, 0.1, rng.New(4))
 	p := ParamsDefault(100, g.MaxDegree())
-	a, err := SolveCD(g, p, 11)
+	a, err := Run("cd", g, p, RunOpts{Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SolveCD(g, p, 11)
+	b, err := Run("cd", g, p, RunOpts{Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,11 +153,11 @@ func TestSolveBeepMatchesCDExactly(t *testing.T) {
 	g := graph.GNP(150, 0.06, rng.New(5))
 	p := ParamsDefault(150, g.MaxDegree())
 	for seed := uint64(0); seed < 10; seed++ {
-		cd, err := SolveCD(g, p, seed)
+		cd, err := Run("cd", g, p, RunOpts{Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
-		beep, err := SolveBeep(g, p, seed)
+		beep, err := Run("beep", g, p, RunOpts{Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,12 +180,12 @@ func TestSolveBeepMatchesCDExactly(t *testing.T) {
 
 func TestSolveCDRejectsBadParams(t *testing.T) {
 	g := graph.Path(4)
-	if _, err := SolveCD(g, Params{}, 1); err == nil {
+	if _, err := Run("cd", g, Params{}, RunOpts{Seed: 1}); err == nil {
 		t.Error("zero params accepted")
 	}
 	p := ParamsDefault(4, 2)
 	p.Beta = -1
-	if _, err := SolveCD(g, p, 1); err == nil {
+	if _, err := Run("cd", g, p, RunOpts{Seed: 1}); err == nil {
 		t.Error("negative Beta accepted")
 	}
 }
@@ -194,7 +194,7 @@ func TestNaiveCDProducesMIS(t *testing.T) {
 	for name, g := range testFamilies(t, 96, 6) {
 		t.Run(name, func(t *testing.T) {
 			p := ParamsDefault(g.N(), g.MaxDegree())
-			res, err := SolveNaiveCD(g, p, 13)
+			res, err := Run("naive-cd", g, p, RunOpts{Seed: 13})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -215,11 +215,11 @@ func TestNaiveCDUsesMoreEnergyOnAdversarialGraph(t *testing.T) {
 	p := ParamsDefault(g.N(), 2)
 	var naiveWorst, optWorst uint64
 	for seed := uint64(0); seed < 10; seed++ {
-		nres, err := SolveNaiveCD(g, p, seed)
+		nres, err := Run("naive-cd", g, p, RunOpts{Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ores, err := SolveCD(g, p, seed)
+		ores, err := Run("cd", g, p, RunOpts{Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}

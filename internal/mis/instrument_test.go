@@ -122,7 +122,7 @@ func TestCommittedSubgraphMaxDegreeWithinBound(t *testing.T) {
 func TestDecisionRoundsPopulated(t *testing.T) {
 	g := graph.GNP(64, 0.1, rng.New(93))
 	p := ParamsDefault(g.N(), g.MaxDegree())
-	res, err := SolveCD(g, p, 3)
+	res, err := Run("cd", g, p, RunOpts{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestDecisionRoundsPhaseAligned(t *testing.T) {
 	// so every decision round is ≡ 0 mod (B+1) or within the phase.
 	g := graph.Cycle(32)
 	p := ParamsDefault(32, 2)
-	res, err := SolveCD(g, p, 9)
+	res, err := Run("cd", g, p, RunOpts{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -372,9 +372,7 @@ func RunMany(name string, g *graph.Graph, p Params, opts ManyOpts) ([]*Result, e
 			if lerr := batch.Errs[l]; lerr != nil {
 				return nil, fmt.Errorf("trial %d: mis: %s run: %w", off+l, name, lerr)
 			}
-			res := newResult(batch.Results[l])
-			res.DecisionRound = batch.HaltRounds[l]
-			results = append(results, res)
+			results = append(results, newResult(batch.Results[l]))
 		}
 	}
 	return results, nil

@@ -1,10 +1,7 @@
 package mis
 
 import (
-	"context"
-
 	"radiomis/internal/backoff"
-	"radiomis/internal/graph"
 	"radiomis/internal/radio"
 	"radiomis/internal/rng"
 )
@@ -149,19 +146,4 @@ func LowDegreeProgram(p Params) radio.Program {
 	return func(env *radio.Env) int64 {
 		return int64(lowDegreeMIS(env, p, p.Delta))
 	}
-}
-
-// SolveLowDegree runs the standalone Davies-style baseline in the no-CD
-// model.
-//
-// Deprecated: use Run("lowdegree", ...) or RunMany for batches.
-func SolveLowDegree(g *graph.Graph, p Params, seed uint64) (*Result, error) {
-	return SolveLowDegreeContext(context.Background(), g, p, seed)
-}
-
-// SolveLowDegreeContext is SolveLowDegree bounded by ctx.
-//
-// Deprecated: use Run("lowdegree", ...) with RunOpts.Ctx.
-func SolveLowDegreeContext(ctx context.Context, g *graph.Graph, p Params, seed uint64) (*Result, error) {
-	return Run("lowdegree", g, p, RunOpts{Seed: seed, Ctx: ctx})
 }

@@ -35,7 +35,7 @@ func TestSolveLowDegreeAllFamilies(t *testing.T) {
 	for name, g := range testFamilies(t, 64, 30) {
 		t.Run(name, func(t *testing.T) {
 			p := ParamsDefault(g.N(), g.MaxDegree())
-			res, err := SolveLowDegree(g, p, 77)
+			res, err := Run("lowdegree", g, p, RunOpts{Seed: 77})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -50,7 +50,7 @@ func TestSolveLowDegreeManySeeds(t *testing.T) {
 	g := graph.GNP(128, 0.06, rng.New(31))
 	p := ParamsDefault(g.N(), g.MaxDegree())
 	for seed := uint64(0); seed < 15; seed++ {
-		res, err := SolveLowDegree(g, p, seed)
+		res, err := Run("lowdegree", g, p, RunOpts{Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,7 +68,7 @@ func TestSolveLowDegreeExactRoundBudget(t *testing.T) {
 	// remained aligned (no error, valid result).
 	g := graph.Cycle(32)
 	p := ParamsDefault(32, 2)
-	res, err := SolveLowDegree(g, p, 3)
+	res, err := Run("lowdegree", g, p, RunOpts{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestSolveLowDegreeOnCommittedScaleSubgraph(t *testing.T) {
 	g := graph.GNP(256, 4.0/256.0, rng.New(32))
 	p := ParamsDefault(256, p256Degree(g))
 	for seed := uint64(0); seed < 5; seed++ {
-		res, err := SolveLowDegree(g, p, seed)
+		res, err := Run("lowdegree", g, p, RunOpts{Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +104,7 @@ func p256Degree(g *graph.Graph) int {
 func TestSolveLowDegreeEnergyWithinBudget(t *testing.T) {
 	g := graph.GNP(256, 0.03, rng.New(33))
 	p := ParamsDefault(256, g.MaxDegree())
-	res, err := SolveLowDegree(g, p, 5)
+	res, err := Run("lowdegree", g, p, RunOpts{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"radiomis/internal/backoff"
+	"radiomis/internal/faults"
 	"radiomis/internal/graph"
 	"radiomis/internal/radio"
 	"radiomis/internal/rng"
@@ -113,7 +114,7 @@ func (b *EnergyBreakdown) Totals() (competition, checks, lowDegree uint64) {
 	return competition, checks, lowDegree
 }
 
-// SolveNoCDBreakdown runs Algorithm 2 like SolveNoCD and additionally
+// SolveNoCDBreakdown runs Algorithm 2 like Run("nocd", ...) and additionally
 // attributes every node's energy to the segment that spent it.
 func SolveNoCDBreakdown(g *graph.Graph, p Params, seed uint64) (*Result, *EnergyBreakdown, error) {
 	return SolveNoCDBreakdownContext(context.Background(), g, p, seed)
@@ -125,7 +126,7 @@ func SolveNoCDBreakdownContext(ctx context.Context, g *graph.Graph, p Params, se
 		return nil, nil, err
 	}
 	breakdown := NewEnergyBreakdown(g.N())
-	res, err := runProgram(ctx, g, radio.ModelNoCD, seed, func(env *radio.Env) int64 {
+	res, err := runProgramObserved(ctx, g, radio.ModelNoCD, seed, faults.Profile{}, nil, func(env *radio.Env) int64 {
 		return runNoCD(env, p, compUndecided, breakdown)
 	})
 	if err != nil {
@@ -335,19 +336,4 @@ func receive(env *radio.Env, p Params, k, delta, dEst int) bool {
 		return backoff.ReceiveNoEarlySleep(env, k, delta, dEst)
 	}
 	return backoff.Receive(env, k, delta, dEst)
-}
-
-// SolveNoCD runs Algorithm 2 on g in the no-CD model.
-//
-// Deprecated: use Run("nocd", ...) or RunMany for batches.
-func SolveNoCD(g *graph.Graph, p Params, seed uint64) (*Result, error) {
-	return SolveNoCDContext(context.Background(), g, p, seed)
-}
-
-// SolveNoCDContext is SolveNoCD bounded by ctx: cancellation aborts the
-// simulation at the next round boundary.
-//
-// Deprecated: use Run("nocd", ...) with RunOpts.Ctx.
-func SolveNoCDContext(ctx context.Context, g *graph.Graph, p Params, seed uint64) (*Result, error) {
-	return Run("nocd", g, p, RunOpts{Seed: seed, Ctx: ctx})
 }

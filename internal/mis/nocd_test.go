@@ -11,7 +11,7 @@ func TestSolveNoCDAllFamilies(t *testing.T) {
 	for name, g := range testFamilies(t, 64, 40) {
 		t.Run(name, func(t *testing.T) {
 			p := ParamsDefault(g.N(), g.MaxDegree())
-			res, err := SolveNoCD(g, p, 99)
+			res, err := Run("nocd", g, p, RunOpts{Seed: 99})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -26,7 +26,7 @@ func TestSolveNoCDManySeeds(t *testing.T) {
 	g := graph.GNP(96, 0.08, rng.New(41))
 	p := ParamsDefault(g.N(), g.MaxDegree())
 	for seed := uint64(0); seed < 10; seed++ {
-		res, err := SolveNoCD(g, p, seed)
+		res, err := Run("nocd", g, p, RunOpts{Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,7 +39,7 @@ func TestSolveNoCDManySeeds(t *testing.T) {
 func TestSolveNoCDRoundBudgetRespected(t *testing.T) {
 	g := graph.Cycle(48)
 	p := ParamsDefault(48, 2)
-	res, err := SolveNoCD(g, p, 5)
+	res, err := Run("nocd", g, p, RunOpts{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,11 +51,11 @@ func TestSolveNoCDRoundBudgetRespected(t *testing.T) {
 func TestSolveNoCDDeterministic(t *testing.T) {
 	g := graph.GNP(64, 0.1, rng.New(42))
 	p := ParamsDefault(64, g.MaxDegree())
-	a, err := SolveNoCD(g, p, 17)
+	a, err := Run("nocd", g, p, RunOpts{Seed: 17})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SolveNoCD(g, p, 17)
+	b, err := Run("nocd", g, p, RunOpts{Seed: 17})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestSolveNoCDDeterministic(t *testing.T) {
 }
 
 func TestSolveNoCDIsolatedNodesJoin(t *testing.T) {
-	res, err := SolveNoCD(graph.Empty(16), ParamsDefault(16, 0), 7)
+	res, err := Run("nocd", graph.Empty(16), ParamsDefault(16, 0), RunOpts{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestSolveNoCDEnergyFarBelowRounds(t *testing.T) {
 	// the round count.
 	g := graph.GNP(128, 0.06, rng.New(43))
 	p := ParamsDefault(128, g.MaxDegree())
-	res, err := SolveNoCD(g, p, 3)
+	res, err := Run("nocd", g, p, RunOpts{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,12 +101,12 @@ func TestSolveNoCDWithEnergyCap(t *testing.T) {
 	// purpose is to bound the tail, not to change typical behaviour.
 	g := graph.GNP(64, 0.1, rng.New(44))
 	p := ParamsDefault(64, g.MaxDegree())
-	noCap, err := SolveNoCD(g, p, 9)
+	noCap, err := Run("nocd", g, p, RunOpts{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.EnergyCap = noCap.MaxEnergy() * 2
-	res, err := SolveNoCD(g, p, 9)
+	res, err := Run("nocd", g, p, RunOpts{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestSolveNoCDTinyEnergyCapStillIndependent(t *testing.T) {
 	g := graph.GNP(64, 0.1, rng.New(45))
 	p := ParamsDefault(64, g.MaxDegree())
 	p.EnergyCap = 10
-	res, err := SolveNoCD(g, p, 11)
+	res, err := Run("nocd", g, p, RunOpts{Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestNaiveNoCDProducesMIS(t *testing.T) {
 		g := testFamilies(t, 32, 46)[name]
 		t.Run(name, func(t *testing.T) {
 			p := ParamsDefault(g.N(), g.MaxDegree())
-			res, err := SolveNaiveNoCD(g, p, 21)
+			res, err := Run("naive-nocd", g, p, RunOpts{Seed: 21})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -160,7 +160,7 @@ func TestNoCDBeatsNaiveWorstCaseBudget(t *testing.T) {
 	// experiment E6 charts that crossover — see EXPERIMENTS.md.)
 	g := graph.Cycle(96)
 	p := ParamsDefault(g.N(), g.MaxDegree())
-	algo2, err := SolveNoCD(g, p, 31)
+	algo2, err := Run("nocd", g, p, RunOpts{Seed: 31})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestNoCDStandingCostLogarithmicPerPhase(t *testing.T) {
 	// is bounded by L·(2k+1) plus its single winning phase.
 	g := graph.Empty(8) // isolated nodes win immediately and then stand
 	p := ParamsDefault(512, 8)
-	res, err := SolveNoCD(g, p, 3)
+	res, err := Run("nocd", g, p, RunOpts{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestCompetitionStatusesExhaustive(t *testing.T) {
 	// guarantee 1 − 1/poly(4) would otherwise be vacuous.
 	p := ParamsDefault(64, 2)
 	for seed := uint64(0); seed < 10; seed++ {
-		res, err := SolveNoCD(g, p, seed)
+		res, err := Run("nocd", g, p, RunOpts{Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}

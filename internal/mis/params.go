@@ -1,19 +1,20 @@
 // Package mis implements the paper's distributed maximal-independent-set
 // algorithms for radio networks, together with the baselines they are
-// compared against:
+// compared against. Each runs by its registry name through Run (one
+// trial) or RunMany (a batch):
 //
-//   - SolveCD — Algorithm 1: the energy-optimal CD-model algorithm
+//   - "cd" — Algorithm 1: the energy-optimal CD-model algorithm
 //     (O(log n) energy, O(log² n) rounds). Runs unchanged in the beeping
-//     model (SolveBeep).
-//   - SolveNoCD — Algorithms 2+3: the no-CD algorithm with
+//     model ("beep").
+//   - "nocd" — Algorithms 2+3: the no-CD algorithm with
 //     O(log² n log log n) energy and O(log³ n log Δ) rounds, built from the
 //     energy-efficient backoffs and the LowDegreeMIS subroutine.
-//   - SolveLowDegree — the round-improved Davies-style MIS of §4.2
+//   - "lowdegree" — the round-improved Davies-style MIS of §4.2
 //     (O(log² n log Δ) rounds and energy), used standalone as the
 //     best-known-prior baseline and internally on the committed subgraph.
-//   - SolveNaiveCD — straightforward Luby in the CD model (O(log² n)
+//   - "naive-cd" — straightforward Luby in the CD model (O(log² n)
 //     energy): the baseline Algorithm 1 improves on.
-//   - SolveNaiveNoCD — Algorithm 1 simulated round-by-round with
+//   - "naive-nocd" — Algorithm 1 simulated round-by-round with
 //     traditional Decay backoff (O(log⁴ n) energy): the naive no-CD
 //     baseline of §1.3.
 package mis

@@ -14,7 +14,7 @@ func TestPaperParamsCDSmallNetwork(t *testing.T) {
 	// rounds each — and is exercised via cmd/radiomis -paper-params.)
 	g := graph.GNP(32, 0.15, rng.New(100))
 	p := ParamsPaper(g.N(), g.MaxDegree())
-	res, err := SolveCD(g, p, 1)
+	res, err := Run("cd", g, p, RunOpts{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,11 +33,11 @@ func TestNOverestimateStillCorrect(t *testing.T) {
 	g := graph.GNP(50, 0.1, rng.New(101))
 	exact := ParamsDefault(g.N(), g.MaxDegree())
 	over := ParamsDefault(g.N()*g.N(), g.MaxDegree()) // N = n²
-	resExact, err := SolveCD(g, exact, 2)
+	resExact, err := Run("cd", g, exact, RunOpts{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resOver, err := SolveCD(g, over, 2)
+	resOver, err := Run("cd", g, over, RunOpts{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestDeltaOverestimateStillCorrectNoCD(t *testing.T) {
 	// Overestimating Δ lengthens backoffs but preserves correctness.
 	g := graph.Cycle(48)
 	p := ParamsDefault(48, 32) // true Δ = 2, bound 32
-	res, err := SolveNoCD(g, p, 3)
+	res, err := Run("nocd", g, p, RunOpts{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestValidateTinyNetworks(t *testing.T) {
 			t.Errorf("n=%d: %v", n, err)
 		}
 		g := graph.Empty(n)
-		res, err := SolveCD(g, p, 1)
+		res, err := Run("cd", g, p, RunOpts{Seed: 1})
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -110,19 +110,11 @@ func TestValidateTinyNetworks(t *testing.T) {
 func TestSingleEdgeNetworkAllSolvers(t *testing.T) {
 	g := graph.Path(2)
 	p := ParamsDefault(16, 1) // generous shared bounds for a tiny graph
-	solvers := map[string]func(*graph.Graph, Params, uint64) (*Result, error){
-		"cd":         SolveCD,
-		"beep":       SolveBeep,
-		"nocd":       SolveNoCD,
-		"lowdegree":  SolveLowDegree,
-		"naive-cd":   SolveNaiveCD,
-		"naive-nocd": SolveNaiveNoCD,
-	}
-	for name, solve := range solvers {
+	for _, name := range []string{"cd", "beep", "nocd", "lowdegree", "naive-cd", "naive-nocd"} {
 		t.Run(name, func(t *testing.T) {
 			ok := 0
 			for seed := uint64(0); seed < 5; seed++ {
-				res, err := solve(g, p, seed)
+				res, err := Run(name, g, p, RunOpts{Seed: seed})
 				if err != nil {
 					t.Fatal(err)
 				}

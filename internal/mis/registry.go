@@ -15,9 +15,8 @@ import (
 // algorithm is defined — its canonical wire name (shared by the radiomis
 // CLI, the radiomisd job schema, and the library facade), its collision
 // model, its program builder, and its human-readable description. All
-// entry points resolve through Run below: the per-algorithm Solve*
-// functions are one-line wrappers, SolveWithFaults is a one-line wrapper,
-// and the daemon's discovery endpoint serializes Infos.
+// entry points resolve through Run below: SolveWithFaults is a one-line
+// wrapper, and the daemon's discovery endpoint serializes Infos.
 
 // algoSpec is one registry entry. Exactly one of program (a radio-model
 // distributed algorithm) and sequential (a centralized reference algorithm

@@ -10,39 +10,6 @@ import (
 	"radiomis/internal/radio"
 )
 
-// TestRunMatchesSolveFacades pins the registry collapse: every internal
-// Solve*Context pair produces exactly what Run produces for its name.
-func TestRunMatchesSolveFacades(t *testing.T) {
-	g := graph.GNP(80, 6.0/80, rand.New(rand.NewSource(5)))
-	p := ParamsDefault(80, g.MaxDegree())
-	facades := map[string]func(*graph.Graph, Params, uint64) (*Result, error){
-		"cd":            SolveCD,
-		"beep":          SolveBeep,
-		"nocd":          SolveNoCD,
-		"lowdegree":     SolveLowDegree,
-		"naive-cd":      SolveNaiveCD,
-		"naive-nocd":    SolveNaiveNoCD,
-		"unknown-delta": SolveUnknownDelta,
-		"linear":        SolveLinear,
-	}
-	if got, want := len(facades), len(Algorithms()); got != want {
-		t.Fatalf("facade table covers %d algorithms, registry has %d", got, want)
-	}
-	for name, fn := range facades {
-		want, err := fn(g, p, 9)
-		if err != nil {
-			t.Fatalf("%s facade: %v", name, err)
-		}
-		got, err := Run(name, g, p, RunOpts{Seed: 9})
-		if err != nil {
-			t.Fatalf("Run(%s): %v", name, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("Run(%q) diverges from its facade", name)
-		}
-	}
-}
-
 // TestRunObserverWired verifies RunOpts.Observer reaches the engine: a run
 // with an observer sees round and halt callbacks, and attaching one never
 // changes the result.

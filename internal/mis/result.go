@@ -50,8 +50,9 @@ type Result struct {
 	InMIS []bool
 	// Energy holds each node's awake-round count.
 	Energy []uint64
-	// DecisionRound holds the round at which each node's program halted —
-	// the instrumentation behind the residual-graph experiment (E3).
+	// DecisionRound holds the round at which each node's program halted
+	// (the engine's radio.Result.HaltRound) — the instrumentation behind
+	// the residual-graph experiment (E3).
 	DecisionRound []uint64
 	// Rounds is the run's round complexity.
 	Rounds uint64
@@ -65,52 +66,26 @@ type Result struct {
 	Faults *faults.Stats
 }
 
-// haltTracer records each node's halting round.
-type haltTracer struct {
-	rounds []uint64
-}
-
-var _ radio.Tracer = (*haltTracer)(nil)
-
-func (t *haltTracer) RoundDone(uint64, []int, []int) {}
-
-func (t *haltTracer) NodeHalted(id int, _ int64, _ uint64, round uint64) {
-	t.rounds[id] = round
-}
-
-// runProgram executes program on g under the model and converts the raw
-// simulation outcome into an MIS result with decision-round
-// instrumentation. All Solve functions go through it; ctx bounds the
-// simulation (the engine aborts cooperatively at round granularity).
-func runProgram(ctx context.Context, g *graph.Graph, model radio.Model, seed uint64, program radio.Program) (*Result, error) {
-	return runProgramFaults(ctx, g, model, seed, faults.Profile{}, program)
-}
-
-// runProgramFaults is runProgram with a fault profile attached to the
-// simulation. The zero profile is exactly runProgram (the engine skips the
-// injection layer entirely).
-func runProgramFaults(ctx context.Context, g *graph.Graph, model radio.Model, seed uint64, fp faults.Profile, program radio.Program) (*Result, error) {
-	return runProgramObserved(ctx, g, model, seed, fp, nil, program)
-}
-
 // EngineSliceRounds is the round-slice sampling granularity used when a
 // trace.Tracer rides the run's context: one engine span per this many
 // executed rounds. Coarse on purpose — spans attribute wall time at the
 // scheduler-loop level, never inside the per-node hot path.
 const EngineSliceRounds = 256
 
-// runProgramObserved is the full-knob execution path (Run resolves here):
-// runProgramFaults with an optional radio.Observer attached to the engine.
-// A nil observer costs nothing. When a trace.Tracer is installed on ctx,
-// the run additionally samples the scheduler loop into round slices
-// (radio.RunPerf.SliceEvery) and emits them as "engine.rounds" spans
-// under ctx's current span; with no tracer the run is bit-identical and
-// pays one context lookup.
+// runProgramObserved executes program on g under the model and converts
+// the raw simulation outcome into an MIS result; Run and
+// SolveNoCDBreakdown resolve here. ctx bounds the simulation (the engine
+// aborts cooperatively at round granularity), fp attaches a fault profile
+// (the zero profile skips the injection layer entirely), and obs an
+// optional radio.Observer; a nil observer costs nothing. When a
+// trace.Tracer is installed on ctx, the run additionally samples the
+// scheduler loop into round slices (radio.RunPerf.SliceEvery) and emits
+// them as "engine.rounds" spans under ctx's current span; with no tracer
+// the run is bit-identical and pays one context lookup.
 func runProgramObserved(ctx context.Context, g *graph.Graph, model radio.Model, seed uint64, fp faults.Profile, obs radio.Observer, program radio.Program) (*Result, error) {
-	tracer := &haltTracer{rounds: make([]uint64, g.N())}
-	cfg := radio.Config{Model: model, Ctx: ctx, Seed: seed, Tracer: tracer, Faults: fp, Observer: obs}
+	cfg := radio.Config{Model: model, Ctx: ctx, Seed: seed, Faults: fp, Observer: obs}
 	tr := trace.FromContext(ctx)
-	if tr != nil && cfg.Perf == nil {
+	if tr != nil {
 		cfg.Perf = &radio.RunPerf{SliceEvery: EngineSliceRounds}
 	}
 	rr, err := radio.Run(g, cfg, program)
@@ -118,7 +93,6 @@ func runProgramObserved(ctx context.Context, g *graph.Graph, model radio.Model, 
 		return nil, err
 	}
 	res := newResult(rr)
-	res.DecisionRound = tracer.rounds
 	if tr != nil {
 		emitEngineSpans(tr, trace.SpanFromContext(ctx).Context(), cfg.Perf)
 	}
@@ -149,12 +123,13 @@ func emitEngineSpans(tr *trace.Tracer, parent trace.SpanContext, perf *radio.Run
 func newResult(rr *radio.Result) *Result {
 	n := len(rr.Outputs)
 	res := &Result{
-		Status:  make([]Status, n),
-		InMIS:   make([]bool, n),
-		Energy:  rr.Energy,
-		Rounds:  rr.Rounds,
-		Crashed: rr.Crashed,
-		Faults:  rr.Faults,
+		Status:        make([]Status, n),
+		InMIS:         make([]bool, n),
+		Energy:        rr.Energy,
+		DecisionRound: rr.HaltRound,
+		Rounds:        rr.Rounds,
+		Crashed:       rr.Crashed,
+		Faults:        rr.Faults,
 	}
 	for i, out := range rr.Outputs {
 		if rr.Crashed != nil && rr.Crashed[i] {

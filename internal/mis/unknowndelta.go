@@ -1,10 +1,7 @@
 package mis
 
 import (
-	"context"
-
 	"radiomis/internal/backoff"
-	"radiomis/internal/graph"
 	"radiomis/internal/radio"
 )
 
@@ -140,18 +137,4 @@ func maxInt(a, b int) int {
 		return a
 	}
 	return b
-}
-
-// SolveUnknownDelta runs the unknown-Δ wrapper on g in the no-CD model.
-//
-// Deprecated: use Run("unknown-delta", ...) or RunMany for batches.
-func SolveUnknownDelta(g *graph.Graph, p Params, seed uint64) (*Result, error) {
-	return SolveUnknownDeltaContext(context.Background(), g, p, seed)
-}
-
-// SolveUnknownDeltaContext is SolveUnknownDelta bounded by ctx.
-//
-// Deprecated: use Run("unknown-delta", ...) with RunOpts.Ctx.
-func SolveUnknownDeltaContext(ctx context.Context, g *graph.Graph, p Params, seed uint64) (*Result, error) {
-	return Run("unknown-delta", g, p, RunOpts{Seed: seed, Ctx: ctx})
 }

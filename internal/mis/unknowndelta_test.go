@@ -48,7 +48,7 @@ func TestSolveUnknownDeltaFamilies(t *testing.T) {
 		g := testFamilies(t, 48, 60)[name]
 		t.Run(name, func(t *testing.T) {
 			p := ParamsDefault(g.N(), g.MaxDegree())
-			res, err := SolveUnknownDelta(g, p, 5)
+			res, err := Run("unknown-delta", g, p, RunOpts{Seed: 5})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -63,7 +63,7 @@ func TestSolveUnknownDeltaManySeeds(t *testing.T) {
 	g := graph.GNP(64, 0.15, rng.New(61)) // Δ well above the first guesses
 	p := ParamsDefault(g.N(), g.MaxDegree())
 	for seed := uint64(0); seed < 8; seed++ {
-		res, err := SolveUnknownDelta(g, p, seed)
+		res, err := Run("unknown-delta", g, p, RunOpts{Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +87,7 @@ func TestUnknownDeltaRoundOverheadConstant(t *testing.T) {
 func TestUnknownDeltaBudgetRespected(t *testing.T) {
 	g := graph.GNP(48, 0.2, rng.New(63))
 	p := ParamsDefault(g.N(), g.MaxDegree())
-	res, err := SolveUnknownDelta(g, p, 2)
+	res, err := Run("unknown-delta", g, p, RunOpts{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestSolveUnknownDeltaHighDegreeRecovery(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			p := ParamsDefault(64, g.MaxDegree())
 			for seed := uint64(0); seed < 4; seed++ {
-				res, err := SolveUnknownDelta(g, p, seed)
+				res, err := Run("unknown-delta", g, p, RunOpts{Seed: seed})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -127,11 +127,11 @@ func TestUnknownDeltaEnergyOverheadBounded(t *testing.T) {
 	// count) of the known-Δ run's energy.
 	g := graph.GNP(64, 0.2, rng.New(66))
 	p := ParamsDefault(g.N(), g.MaxDegree())
-	known, err := SolveNoCD(g, p, 7)
+	known, err := Run("nocd", g, p, RunOpts{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	unknown, err := SolveUnknownDelta(g, p, 7)
+	unknown, err := Run("unknown-delta", g, p, RunOpts{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

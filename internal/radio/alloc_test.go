@@ -22,10 +22,11 @@ func chatterProgram(rounds int) Program {
 }
 
 // TestNilObserverAddsNoAllocs guards the observability layer's opt-in-free
-// promise: with no Tracer and no Observer attached, the coordinator hot
-// path must not allocate per round. It measures whole-run allocations at
-// two round counts; the difference isolates the steady-state per-round
-// cost from the fixed per-run setup (goroutines, envs, buffers).
+// promise: with no Observer attached, the coordinator hot path must not
+// allocate per round (Result.HaltRound is one slice per run). It measures
+// whole-run allocations at two round counts; the difference isolates the
+// steady-state per-round cost from the fixed per-run setup (goroutines,
+// envs, buffers).
 func TestNilObserverAddsNoAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is distorted under the race detector")

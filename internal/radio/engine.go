@@ -39,15 +39,10 @@ type Config struct {
 	Seed uint64
 	// MaxRounds caps simulated time; 0 means DefaultMaxRounds.
 	MaxRounds uint64
-	// Tracer, when non-nil, observes rounds and node decisions (the
-	// legacy who-was-awake interface; see Observer for reception
-	// outcomes and phase attribution).
-	Tracer Tracer
 	// Observer, when non-nil, receives structured per-round reception
-	// statistics (RoundStats) and halt events. Tracer and Observer may
-	// both be set; the Tracer is adapted internally and sees the same
-	// rounds. When both are nil the coordinator skips all observation
-	// work and allocates nothing per round.
+	// statistics (RoundStats) and halt events. When it is nil the
+	// coordinator skips all observation work and allocates nothing per
+	// round; per-node halt rounds are in Result.HaltRound either way.
 	Observer Observer
 	// WakeRound optionally staggers node start times: node i begins
 	// executing at round WakeRound[i] (its Env round counter starts
@@ -102,6 +97,10 @@ type Result struct {
 	// Energy holds each node's awake-round count — the paper's energy
 	// complexity measure, per node.
 	Energy []uint64
+	// HaltRound holds the round in which each node's program returned —
+	// the round Observer.ObserveHalt reports — or 0 if it never halted
+	// (terminally crashed, or cut off by an abort or a node error).
+	HaltRound []uint64
 	// Rounds is the total number of rounds elapsed until the last awake
 	// action (the round complexity of the run).
 	Rounds uint64
@@ -147,17 +146,6 @@ func (r *Result) TotalEnergy() uint64 {
 	return sum
 }
 
-// Tracer observes simulation events. Implementations must be fast; they run
-// on the coordinator's critical path. The engine calls methods from a
-// single goroutine.
-type Tracer interface {
-	// RoundDone is called after each round that had at least one awake
-	// node. Slices are only valid during the call.
-	RoundDone(round uint64, transmitters, listeners []int)
-	// NodeHalted is called when a node's program returns.
-	NodeHalted(id int, output int64, energy uint64, round uint64)
-}
-
 // batchCap is the capacity of each intent batch a node hands to the
 // scheduler (see Env.flush). A node program runs ahead of the scheduler —
 // queueing its next transmit and sleep actions without a goroutine switch
@@ -193,8 +181,9 @@ func run(g *graph.Graph, cfg Config, program Program, reference bool) (*Result, 
 	}
 	n := g.N()
 	res := &Result{
-		Outputs: make([]int64, n),
-		Energy:  make([]uint64, n),
+		Outputs:   make([]int64, n),
+		Energy:    make([]uint64, n),
+		HaltRound: make([]uint64, n),
 	}
 	if n == 0 {
 		return res, nil
@@ -442,16 +431,3 @@ func (h *eventHeap) pop() event {
 }
 
 func (h eventHeap) peekRound() uint64 { return h[0].round }
-
-// observer combines Config.Observer and Config.Tracer (via adapter) into
-// the single observer the coordinator drives; nil when neither is set.
-func (cfg *Config) observer() Observer {
-	if cfg.Tracer == nil {
-		return cfg.Observer
-	}
-	adapted := ObserverFromTracer(cfg.Tracer)
-	if cfg.Observer == nil {
-		return adapted
-	}
-	return MultiObserver{cfg.Observer, adapted}
-}

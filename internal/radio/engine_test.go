@@ -1,7 +1,6 @@
 package radio
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"testing"
@@ -440,8 +439,8 @@ func TestResultAggregates(t *testing.T) {
 
 func TestCountingTracer(t *testing.T) {
 	g := pairGraph(t)
-	tr := &CountingTracer{}
-	_, err := Run(g, Config{Model: ModelCD, Seed: 1, Tracer: tr}, func(env *Env) int64 {
+	rec := &recordingObserver{}
+	_, err := Run(g, Config{Model: ModelCD, Seed: 1, Observer: rec}, func(env *Env) int64 {
 		if env.ID() == 0 {
 			env.TransmitBit()
 			return 0
@@ -453,48 +452,22 @@ func TestCountingTracer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Halts != 2 {
-		t.Errorf("Halts = %d, want 2", tr.Halts)
+	transmissions, listens := 0, 0
+	for _, s := range rec.rounds {
+		transmissions += len(s.Transmitters)
+		listens += len(s.Listeners)
 	}
-	if tr.Transmissions != 1 {
-		t.Errorf("Transmissions = %d, want 1", tr.Transmissions)
+	if len(rec.halts) != 2 {
+		t.Errorf("Halts = %d, want 2", len(rec.halts))
 	}
-	if tr.Listens != 2 {
-		t.Errorf("Listens = %d, want 2", tr.Listens)
+	if transmissions != 1 {
+		t.Errorf("Transmissions = %d, want 1", transmissions)
 	}
-	if tr.ActiveRounds != 2 {
-		t.Errorf("ActiveRounds = %d, want 2", tr.ActiveRounds)
+	if listens != 2 {
+		t.Errorf("Listens = %d, want 2", listens)
 	}
-}
-
-func TestWriterTracerOutput(t *testing.T) {
-	g := graph.New(1)
-	var buf bytes.Buffer
-	_, err := Run(g, Config{Model: ModelCD, Seed: 1, Tracer: &WriterTracer{W: &buf}}, func(env *Env) int64 {
-		env.Listen()
-		return 5
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !bytes.Contains(buf.Bytes(), []byte("round")) || !bytes.Contains(buf.Bytes(), []byte("output=5")) {
-		t.Errorf("trace output missing expected lines:\n%s", out)
-	}
-}
-
-func TestMultiTracerFansOut(t *testing.T) {
-	g := graph.New(1)
-	a, b := &CountingTracer{}, &CountingTracer{}
-	_, err := Run(g, Config{Model: ModelCD, Seed: 1, Tracer: MultiTracer{a, b}}, func(env *Env) int64 {
-		env.Listen()
-		return 0
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Halts != 1 || b.Halts != 1 {
-		t.Error("multi-tracer did not reach all tracers")
+	if len(rec.rounds) != 2 {
+		t.Errorf("ActiveRounds = %d, want 2", len(rec.rounds))
 	}
 }
 

@@ -143,21 +143,35 @@ func TestCrashStopKillsNodes(t *testing.T) {
 	if res.Faults.Restarts != 0 {
 		t.Errorf("crash-stop run recorded %d restarts", res.Faults.Restarts)
 	}
+	// A crash-stopped node never halts, so its HaltRound stays 0; a
+	// survivor's is the nonzero round after its 40 awake rounds.
+	for id, c := range res.Crashed {
+		if hr := res.HaltRound[id]; c != (hr == 0) {
+			t.Errorf("node %d: crashed %v but HaltRound %d", id, c, hr)
+		}
+	}
 }
 
 func TestCrashRestartRerunsProgram(t *testing.T) {
 	// Count program invocations: with restarts enabled the program must
 	// start more times than there are nodes, and every node must still
-	// produce an output (restarted lives run to completion).
+	// produce an output (restarted lives run to completion). A node's
+	// HaltRound is the round its last life returned in: the halt of the
+	// surviving life.
 	g := graph.Star(6)
 	starts := make([]int, g.N())
+	returned := make([]uint64, g.N())
 	res, err := Run(g, Config{
 		Model:  ModelCD,
 		Seed:   2,
 		Faults: faults.Profile{Crash: faults.Crash{Rate: 0.08, RestartAfter: 4}},
 	}, func(env *Env) int64 {
-		starts[env.ID()]++ // node's own goroutine; coordinator never touches starts
-		return chatter(30)(env)
+		// Lives run one after another on the node's own goroutine; the
+		// coordinator never touches starts or returned.
+		starts[env.ID()]++
+		out := chatter(30)(env)
+		returned[env.ID()] = env.Round()
+		return out
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -176,6 +190,9 @@ func TestCrashRestartRerunsProgram(t *testing.T) {
 		if c {
 			t.Errorf("node %d terminally crashed despite unlimited restarts", id)
 		}
+	}
+	if !reflect.DeepEqual(res.HaltRound, returned) {
+		t.Errorf("HaltRound = %v, want the surviving lives' halt rounds %v", res.HaltRound, returned)
 	}
 }
 

@@ -11,8 +11,9 @@ import (
 // TestEngineQuickRandomPrograms drives the engine with randomized node
 // programs (random mixes of transmit/listen/sleep of random lengths on
 // random graphs) and checks the structural invariants that must hold for
-// any program: the run terminates, energy ≤ rounds per node, and rounds
-// equals the last awake action.
+// any program: the run terminates, energy ≤ rounds per node, rounds
+// equals the last awake action, and Result.HaltRound holds exactly the
+// halt round the observer saw for every node.
 func TestEngineQuickRandomPrograms(t *testing.T) {
 	f := func(seed uint64, nRaw, stepsRaw uint8, modelRaw uint8) bool {
 		n := int(nRaw%24) + 1
@@ -20,8 +21,8 @@ func TestEngineQuickRandomPrograms(t *testing.T) {
 		model := Model(int(modelRaw%3) + 1)
 		g := graph.GNP(n, 0.3, rng.New(seed))
 
-		rec := &RecordingTracer{}
-		res, err := Run(g, Config{Model: model, Seed: seed, Tracer: rec}, func(env *Env) int64 {
+		rec := &recordingObserver{}
+		res, err := Run(g, Config{Model: model, Seed: seed, Observer: rec}, func(env *Env) int64 {
 			for i := 0; i < steps; i++ {
 				switch env.Rand().Intn(3) {
 				case 0:
@@ -38,11 +39,19 @@ func TestEngineQuickRandomPrograms(t *testing.T) {
 			return false
 		}
 		var lastActive uint64
-		for _, ev := range rec.Events {
-			lastActive = ev.Round
+		for _, s := range rec.rounds {
+			lastActive = s.Round
 		}
-		if len(rec.Events) > 0 && res.Rounds != lastActive+1 {
+		if len(rec.rounds) > 0 && res.Rounds != lastActive+1 {
 			return false
+		}
+		if len(rec.halts) != n {
+			return false
+		}
+		for v, hr := range res.HaltRound {
+			if got, ok := rec.halts[v]; !ok || got != hr {
+				return false
+			}
 		}
 		for v, e := range res.Energy {
 			if e > res.Rounds {

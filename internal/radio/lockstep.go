@@ -102,13 +102,14 @@ type laneEvent struct {
 	lanes uint64
 }
 
-// LockstepBatch is the outcome of one RunLockstep call: per-lane results,
-// per-lane errors, and per-lane halt rounds.
+// LockstepBatch is the outcome of one RunLockstep call: per-lane results
+// and per-lane errors.
 type LockstepBatch struct {
 	// Results holds one Result per lane, in seed order. A lane's Result
 	// is always non-nil; on a lane error it carries the partial state at
 	// the point the lane died (matching the scalar engine's behavior for
-	// the same error).
+	// the same error). Per-node halt rounds are in Result.HaltRound, as in
+	// a scalar run.
 	Results []*Result
 	// Errs holds the lane's terminal error, nil for lanes that ran to
 	// completion. Lane errors match the scalar engine's: ErrNotUnary for
@@ -116,11 +117,6 @@ type LockstepBatch struct {
 	// when the lane's next event would be at or past the round cap,
 	// ErrAborted (wrapping the context cause) on cancellation.
 	Errs []error
-	// HaltRounds[l][v] is the round at which node v's program halted in
-	// lane l (the scalar Tracer.NodeHalted round), or 0 if it never
-	// halted. Callers that need per-node decision rounds read them here;
-	// the lockstep engine has no Tracer.
-	HaltRounds [][]uint64
 }
 
 // lockstep is one run's lockstep scheduler state. Like sched, it is
@@ -191,10 +187,10 @@ type lockstep struct {
 //
 // Supported Config fields: Model, Ctx (cancellation + Pool lookup), Seed
 // is ignored (seeds come per lane), MaxRounds, WakeRound (shared by all
-// lanes), UnaryOnly. Observer, Tracer, and Faults are scalar-engine
-// features — configuring them is an error, not a silent no-op; Perf and
-// Shards are ignored (the lockstep coordinator is single-threaded: its
-// parallelism is the lanes).
+// lanes), UnaryOnly. Observer and Faults are scalar-engine features —
+// configuring them is an error, not a silent no-op; Perf and Shards are
+// ignored (the lockstep coordinator is single-threaded: its parallelism is
+// the lanes).
 //
 // Attach a Pool (WithPool) to reuse the engine's scratch and CSR snapshot
 // across batches, exactly like scalar Run.
@@ -205,7 +201,7 @@ func RunLockstep(g *graph.Graph, cfg Config, lp LaneProgram, seeds []uint64) (*L
 	if len(seeds) > MaxLanes {
 		return nil, fmt.Errorf("radio: RunLockstep got %d seeds, max %d lanes", len(seeds), MaxLanes)
 	}
-	if cfg.Observer != nil || cfg.Tracer != nil {
+	if cfg.Observer != nil {
 		return nil, fmt.Errorf("radio: RunLockstep does not support observers; use the scalar engine")
 	}
 	if !cfg.Faults.IsZero() {
@@ -220,7 +216,7 @@ func RunLockstep(g *graph.Graph, cfg Config, lp LaneProgram, seeds []uint64) (*L
 		maxRounds = DefaultMaxRounds
 	}
 	if len(seeds) == 0 {
-		return &LockstepBatch{Results: []*Result{}, Errs: []error{}, HaltRounds: [][]uint64{}}, nil
+		return &LockstepBatch{Results: []*Result{}, Errs: []error{}}, nil
 	}
 
 	lp.Bind(n, seeds)
@@ -611,23 +607,22 @@ func (ls *lockstep) results() *LockstepBatch {
 	n, lanes := ls.n, ls.lanes
 	energy := make([]uint64, lanes*n)
 	batch := &LockstepBatch{
-		Results:    make([]*Result, lanes),
-		Errs:       make([]error, lanes),
-		HaltRounds: make([][]uint64, lanes),
+		Results: make([]*Result, lanes),
+		Errs:    make([]error, lanes),
 	}
 	for l := 0; l < lanes; l++ {
 		lo, hi := l*n, (l+1)*n
 		res := &Result{
-			Outputs: ls.outs[lo:hi:hi],
-			Energy:  energy[lo:hi:hi],
-			Rounds:  ls.laneRounds[l],
+			Outputs:   ls.outs[lo:hi:hi],
+			Energy:    energy[lo:hi:hi],
+			HaltRound: ls.haltR[lo:hi:hi],
+			Rounds:    ls.laneRounds[l],
 		}
 		for v := 0; v < n; v++ {
 			res.Energy[v] = ls.energy[v*MaxLanes+l]
 		}
 		batch.Results[l] = res
 		batch.Errs[l] = ls.laneErrs[l]
-		batch.HaltRounds[l] = ls.haltR[lo:hi:hi]
 	}
 	ls.outs, ls.haltR = nil, nil // the caller owns them now
 	return batch

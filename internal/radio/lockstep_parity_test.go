@@ -14,19 +14,10 @@ import (
 )
 
 // This file holds the lockstep engine's golden parity tests: every lane
-// of RunLockstep must be bit-identical — Result, halt rounds, error — to
-// a scalar Run of the lane program's scalar twin at the lane's seed,
-// across the scalar parity matrix (graphs, models, wake staggering, unary
-// violations, round caps, pooled reruns, ragged lane counts).
-
-// haltRecorder captures scalar Tracer.NodeHalted rounds for comparison
-// with LockstepBatch.HaltRounds.
-type haltRecorder struct{ rounds []uint64 }
-
-func (h *haltRecorder) RoundDone(uint64, []int, []int) {}
-func (h *haltRecorder) NodeHalted(id int, _ int64, _ uint64, round uint64) {
-	h.rounds[id] = round
-}
+// of RunLockstep must be bit-identical — Result (halt rounds included),
+// error — to a scalar Run of the lane program's scalar twin at the lane's
+// seed, across the scalar parity matrix (graphs, models, wake staggering,
+// unary violations, round caps, pooled reruns, ragged lane counts).
 
 // lanePair is a lane program plus its scalar twin; the pair contract is
 // that lane l under RunLockstep behaves exactly like the scalar program
@@ -334,11 +325,11 @@ func lockstepPairs() map[string]lanePair {
 }
 
 // runBothLockstep executes the pair on the scalar engine (one Run per
-// seed, halt rounds recorded via Tracer) and on the lockstep engine (one
+// seed, halts recorded by an observer) and on the lockstep engine (one
 // RunLockstep across all seeds), and requires per-lane bit-identity:
-// same Result, same per-node halt rounds, same error text. It runs the
-// lockstep side both standalone and twice through a Pool (reused scratch
-// and CSR cache).
+// same Result, per-node halt rounds equal to the scalar observer's, same
+// error text. It runs the lockstep side both standalone and twice through
+// a Pool (reused scratch and CSR cache).
 func runBothLockstep(t *testing.T, g *graph.Graph, cfg Config, pair lanePair, seeds []uint64) {
 	t.Helper()
 
@@ -349,12 +340,16 @@ func runBothLockstep(t *testing.T, g *graph.Graph, cfg Config, pair lanePair, se
 	}
 	want := make([]scalarOut, len(seeds))
 	for l, seed := range seeds {
-		rec := &haltRecorder{rounds: make([]uint64, g.N())}
+		rec := &recordingObserver{}
 		c := cfg
 		c.Seed = seed
-		c.Tracer = rec
+		c.Observer = rec
 		res, err := Run(g, c, pair.scalar)
-		want[l] = scalarOut{res: res, err: err, halts: rec.rounds}
+		halts := make([]uint64, g.N())
+		for id, r := range rec.halts {
+			halts[id] = r
+		}
+		want[l] = scalarOut{res: res, err: err, halts: halts}
 	}
 
 	check := func(t *testing.T, label string, batch *LockstepBatch, err error) {
@@ -377,8 +372,8 @@ func runBothLockstep(t *testing.T, g *graph.Graph, cfg Config, pair lanePair, se
 			if !reflect.DeepEqual(batch.Results[l], w.res) {
 				t.Fatalf("%s: lane %d Result diverges from scalar\n got: %+v\nwant: %+v", label, l, batch.Results[l], w.res)
 			}
-			if !reflect.DeepEqual(batch.HaltRounds[l], w.halts) {
-				t.Fatalf("%s: lane %d halt rounds diverge\n got: %v\nwant: %v", label, l, batch.HaltRounds[l], w.halts)
+			if !reflect.DeepEqual(batch.Results[l].HaltRound, w.halts) {
+				t.Fatalf("%s: lane %d halt rounds diverge from the scalar observer's\n got: %v\nwant: %v", label, l, batch.Results[l].HaltRound, w.halts)
 			}
 		}
 	}
@@ -884,7 +879,7 @@ func TestLockstepSleepZeroClamp(t *testing.T) {
 		if got := batch.Results[l].Rounds; got != listen+1 {
 			t.Fatalf("lane %d: Rounds = %d, want %d", l, got, listen+1)
 		}
-		for v, hr := range batch.HaltRounds[l] {
+		for v, hr := range batch.Results[l].HaltRound {
 			if hr != listen+1 {
 				t.Fatalf("lane %d node %d: halt round = %d, want %d", l, v, hr, listen+1)
 			}

@@ -1,10 +1,9 @@
 package radio
 
-// This file defines the structured observability interface of the engine:
-// per-round reception outcomes (successes, collisions, silent listens) and
-// per-action phase attribution. It extends the legacy Tracer, which only
-// reported who transmitted and listened; the Tracer keeps working through
-// an internal adapter (see Run).
+// This file defines the engine's one observability hook: per-round
+// reception outcomes (successes, collisions, silent listens) and
+// per-action phase attribution. Per-node halt rounds need no observer;
+// every run reports them in Result.HaltRound.
 
 // NodeTx describes one transmitting node within a round.
 type NodeTx struct {
@@ -73,10 +72,10 @@ type RoundStats struct {
 	Noised int
 }
 
-// Observer receives structured simulation events. Like Tracer, methods are
-// called from the coordinator's single goroutine and must be fast; the
-// RoundStats value and its slices are only valid during the call (the
-// engine reuses the buffers between rounds).
+// Observer receives structured simulation events. Methods are called from
+// the coordinator's single goroutine and must be fast: they run on its
+// critical path. The RoundStats value and its slices are only valid during
+// the call (the engine reuses the buffers between rounds).
 type Observer interface {
 	// ObserveRound is called after each round with at least one awake
 	// node, once receptions have been resolved.
@@ -103,31 +102,4 @@ func (m MultiObserver) ObserveHalt(id int, output int64, energy uint64, round ui
 	for _, o := range m {
 		o.ObserveHalt(id, output, energy, round)
 	}
-}
-
-// ObserverFromTracer adapts a legacy Tracer to the Observer interface: the
-// tracer sees exactly the rounds and halts it would have seen directly.
-// Run uses it internally when Config.Tracer is set, so existing tracers
-// keep working unchanged.
-func ObserverFromTracer(t Tracer) Observer { return &tracerObserver{t: t} }
-
-type tracerObserver struct {
-	t      Tracer
-	tx, rx []int // reused ID buffers for the legacy RoundDone signature
-}
-
-func (a *tracerObserver) ObserveRound(s *RoundStats) {
-	a.tx = a.tx[:0]
-	a.rx = a.rx[:0]
-	for _, tx := range s.Transmitters {
-		a.tx = append(a.tx, tx.ID)
-	}
-	for _, rx := range s.Listeners {
-		a.rx = append(a.rx, rx.ID)
-	}
-	a.t.RoundDone(s.Round, a.tx, a.rx)
-}
-
-func (a *tracerObserver) ObserveHalt(id int, output int64, energy uint64, round uint64) {
-	a.t.NodeHalted(id, output, energy, round)
 }

@@ -199,46 +199,6 @@ func TestPhaseReturnsPreviousLabel(t *testing.T) {
 	}
 }
 
-func TestTracerAndObserverSeeSameRun(t *testing.T) {
-	// Attaching both a legacy Tracer and an Observer: the tracer (via the
-	// internal adapter) must see exactly the rounds and halts the observer
-	// sees, with identical awake sets.
-	g := graph.Complete(6)
-	tr := &RecordingTracer{}
-	o := &recordingObserver{}
-	_, err := Run(g, Config{Model: ModelNoCD, Seed: 7, Tracer: tr, Observer: o}, randomChatter)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tr.Events) != len(o.rounds) {
-		t.Fatalf("tracer saw %d rounds, observer %d", len(tr.Events), len(o.rounds))
-	}
-	for i, ev := range tr.Events {
-		s := o.rounds[i]
-		if ev.Round != s.Round {
-			t.Fatalf("round %d: tracer round %d != observer round %d", i, ev.Round, s.Round)
-		}
-		if len(ev.Transmitters) != len(s.Transmitters) || len(ev.Listeners) != len(s.Listeners) {
-			t.Fatalf("round %d: awake set sizes diverge", i)
-		}
-		for j, id := range ev.Transmitters {
-			if s.Transmitters[j].ID != id {
-				t.Errorf("round %d: transmitter %d is %d for tracer, %d for observer", i, j, id, s.Transmitters[j].ID)
-			}
-		}
-		for j, id := range ev.Listeners {
-			if s.Listeners[j].ID != id {
-				t.Errorf("round %d: listener %d is %d for tracer, %d for observer", i, j, id, s.Listeners[j].ID)
-			}
-		}
-	}
-	for id, round := range tr.HaltRound {
-		if o.halts[id] != round {
-			t.Errorf("node %d: tracer halt round %d, observer %d", id, round, o.halts[id])
-		}
-	}
-}
-
 func TestMultiObserverFansOut(t *testing.T) {
 	g := graph.Complete(4)
 	a, b := &recordingObserver{}, &recordingObserver{}
@@ -251,21 +211,5 @@ func TestMultiObserverFansOut(t *testing.T) {
 	}
 	if len(a.halts) != 4 || len(b.halts) != 4 {
 		t.Errorf("fan-out halts: %d and %d, want 4 each", len(a.halts), len(b.halts))
-	}
-}
-
-func TestObserverFromTracerAdapts(t *testing.T) {
-	ct := &CountingTracer{}
-	obs := ObserverFromTracer(ct)
-	s := &RoundStats{
-		Round:        5,
-		Transmitters: []NodeTx{{ID: 1}},
-		Listeners:    []NodeRx{{ID: 2}, {ID: 3}},
-	}
-	obs.ObserveRound(s)
-	obs.ObserveHalt(2, 0, 1, 6)
-	snap := ct.Snapshot()
-	if snap.ActiveRounds != 1 || snap.Transmissions != 1 || snap.Listens != 2 || snap.Halts != 1 {
-		t.Errorf("adapted tracer counters wrong: %+v", snap)
 	}
 }

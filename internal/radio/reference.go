@@ -50,7 +50,7 @@ func runReference(g *graph.Graph, cfg Config, program Program) (*Result, error) 
 // filters every transmitter→listener delivery through the loss and noise
 // models before the collision rule is applied.
 func coordinateReference(g *graph.Graph, cfg Config, inj *faults.Injector, maxRounds uint64, envs []*Env, wakes []uint64, res *Result) error {
-	model, obs := cfg.Model, cfg.observer()
+	model, obs := cfg.Model, cfg.Observer
 	var done <-chan struct{}
 	if cfg.Ctx != nil {
 		done = cfg.Ctx.Done()
@@ -160,6 +160,7 @@ func coordinateReference(g *graph.Graph, cfg Config, inj *faults.Injector, maxRo
 				h.push(event{round: r + it.arg, id: id})
 			case intentHalt:
 				res.Outputs[id] = int64(it.arg)
+				res.HaltRound[id] = r
 				active--
 				if obs != nil {
 					obs.ObserveHalt(id, int64(it.arg), res.Energy[id], r)

@@ -64,8 +64,8 @@ const (
 	minShardNodes = 512
 )
 
-// haltEv records one node halt within a round, for deferred observer
-// delivery after the collect barrier.
+// haltEv records one node halt within a round, for deferred accounting
+// (active count, Result.HaltRound, observer) after the collect barrier.
 type haltEv struct {
 	id     int32
 	output int64
@@ -291,7 +291,7 @@ func (s *sched) bind(g *graph.Graph, csr *graph.CSR, cfg *Config, inj *faults.In
 	n := len(envs)
 	s.g, s.csr = g, csr
 	s.model, s.unaryOnly = cfg.Model, cfg.UnaryOnly
-	s.obs = cfg.observer()
+	s.obs = cfg.Observer
 	s.inj = inj
 	s.envs, s.res = envs, res
 	s.maxRounds = maxRounds
@@ -617,6 +617,7 @@ func (s *sched) fastRound(r uint64) error {
 				break
 			}
 			s.active--
+			s.res.HaltRound[h.id] = r
 			if s.obs != nil {
 				s.obs.ObserveHalt(int(h.id), h.output, s.res.Energy[h.id], r)
 			}
@@ -737,6 +738,7 @@ func (s *sched) faultRound(r uint64) error {
 				sh.push(r+it.arg, r, id)
 			case intentHalt:
 				res.Outputs[id] = int64(it.arg)
+				res.HaltRound[id] = r
 				s.active--
 				if obs != nil {
 					obs.ObserveHalt(int(id), int64(it.arg), res.Energy[id], r)

@@ -8,8 +8,8 @@ import (
 
 func TestRecordingTracerCapturesSchedule(t *testing.T) {
 	g := graph.Path(2)
-	rec := &RecordingTracer{}
-	_, err := Run(g, Config{Model: ModelCD, Seed: 1, Tracer: rec}, func(env *Env) int64 {
+	rec := &recordingObserver{}
+	_, err := Run(g, Config{Model: ModelCD, Seed: 1, Observer: rec}, func(env *Env) int64 {
 		if env.ID() == 0 {
 			env.TransmitBit() // round 0
 			env.Sleep(2)
@@ -22,125 +22,20 @@ func TestRecordingTracerCapturesSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rec.Events) != 2 {
-		t.Fatalf("recorded %d active rounds, want 2", len(rec.Events))
+	if len(rec.rounds) != 2 {
+		t.Fatalf("recorded %d active rounds, want 2", len(rec.rounds))
 	}
-	ev0 := rec.Events[0]
-	if ev0.Round != 0 || len(ev0.Transmitters) != 1 || ev0.Transmitters[0] != 0 ||
-		len(ev0.Listeners) != 1 || ev0.Listeners[0] != 1 {
+	ev0 := rec.rounds[0]
+	if ev0.Round != 0 || len(ev0.Transmitters) != 1 || ev0.Transmitters[0].ID != 0 ||
+		len(ev0.Listeners) != 1 || ev0.Listeners[0].ID != 1 {
 		t.Errorf("round 0 event wrong: %+v", ev0)
 	}
-	ev1 := rec.Events[1]
-	if ev1.Round != 3 || len(ev1.Listeners) != 1 || ev1.Listeners[0] != 0 {
+	ev1 := rec.rounds[1]
+	if ev1.Round != 3 || len(ev1.Listeners) != 1 || ev1.Listeners[0].ID != 0 {
 		t.Errorf("round 3 event wrong: %+v", ev1)
 	}
-	if len(rec.HaltRound) != 2 {
-		t.Errorf("halt rounds recorded for %d nodes, want 2", len(rec.HaltRound))
-	}
-}
-
-func TestRecordingTracerEventsAreCopies(t *testing.T) {
-	// The engine reuses its transmitter/listener slices between rounds;
-	// the tracer must deep-copy them.
-	g := graph.Complete(3)
-	rec := &RecordingTracer{}
-	_, err := Run(g, Config{Model: ModelCD, Seed: 2, Tracer: rec}, func(env *Env) int64 {
-		for i := 0; i < 3; i++ {
-			if (env.ID()+i)%2 == 0 {
-				env.TransmitBit()
-			} else {
-				env.Listen()
-			}
-		}
-		return 0
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Rounds alternate which IDs transmit; if slices aliased, every event
-	// would show the final round's sets.
-	if len(rec.Events) != 3 {
-		t.Fatalf("events = %d, want 3", len(rec.Events))
-	}
-	same := true
-	for _, ev := range rec.Events[1:] {
-		if len(ev.Transmitters) != len(rec.Events[0].Transmitters) {
-			same = false
-			break
-		}
-		for i := range ev.Transmitters {
-			if ev.Transmitters[i] != rec.Events[0].Transmitters[i] {
-				same = false
-			}
-		}
-	}
-	if same {
-		t.Error("all events identical — tracer may be aliasing engine slices")
-	}
-}
-
-func TestCountingTracerSnapshot(t *testing.T) {
-	tr := &CountingTracer{}
-	tr.RoundDone(3, []int{0, 1}, []int{2})
-	tr.RoundDone(7, []int{0}, nil)
-	tr.NodeHalted(0, 0, 2, 8)
-	snap := tr.Snapshot()
-	want := CountingSnapshot{
-		ActiveRounds:  2,
-		Transmissions: 3,
-		Listens:       1,
-		Halts:         1,
-		BusiestRound:  3,
-		BusiestCount:  3,
-	}
-	if snap != want {
-		t.Errorf("Snapshot = %+v, want %+v", snap, want)
-	}
-	// The snapshot is a value copy: mutating the tracer afterwards must
-	// not be visible in it.
-	tr.RoundDone(9, []int{0}, nil)
-	if snap.ActiveRounds != 2 {
-		t.Error("snapshot aliases live counters")
-	}
-}
-
-func TestMultiTracerFanOutIdenticalData(t *testing.T) {
-	// Every tracer in a MultiTracer must see the same rounds, the same
-	// awake sets, and the same halts.
-	g := graph.Complete(5)
-	recA, recB := &RecordingTracer{}, &RecordingTracer{}
-	cnt := &CountingTracer{}
-	_, err := Run(g, Config{Model: ModelCD, Seed: 11, Tracer: MultiTracer{recA, cnt, recB}}, func(env *Env) int64 {
-		for i := 0; i < 6; i++ {
-			if env.Rand().Int63()&1 == 1 {
-				env.TransmitBit()
-			} else {
-				env.Listen()
-			}
-		}
-		return 0
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recA.Events) == 0 || len(recA.Events) != len(recB.Events) {
-		t.Fatalf("event counts diverge: %d vs %d", len(recA.Events), len(recB.Events))
-	}
-	var tx, rx uint64
-	for i := range recA.Events {
-		a, b := recA.Events[i], recB.Events[i]
-		if a.Round != b.Round || len(a.Transmitters) != len(b.Transmitters) || len(a.Listeners) != len(b.Listeners) {
-			t.Fatalf("event %d diverges: %+v vs %+v", i, a, b)
-		}
-		tx += uint64(len(a.Transmitters))
-		rx += uint64(len(a.Listeners))
-	}
-	if tx != cnt.Transmissions || rx != cnt.Listens {
-		t.Errorf("counting tracer (%d tx, %d rx) disagrees with recordings (%d tx, %d rx)",
-			cnt.Transmissions, cnt.Listens, tx, rx)
-	}
-	if len(recA.HaltRound) != 5 || len(recB.HaltRound) != 5 || cnt.Halts != 5 {
-		t.Error("halts not fanned out to all tracers")
+	if len(rec.halts) != 2 {
+		t.Errorf("halt rounds recorded for %d nodes, want 2", len(rec.halts))
 	}
 }
 
@@ -210,8 +105,8 @@ func TestPayloadIntegrityAcrossRounds(t *testing.T) {
 
 func TestEnergyNeverExceedsActiveRounds(t *testing.T) {
 	g := graph.Complete(8)
-	tr := &CountingTracer{}
-	res, err := Run(g, Config{Model: ModelCD, Seed: 4, Tracer: tr}, func(env *Env) int64 {
+	rec := &recordingObserver{}
+	res, err := Run(g, Config{Model: ModelCD, Seed: 4, Observer: rec}, func(env *Env) int64 {
 		for i := 0; i < 30; i++ {
 			switch env.Rand().Intn(3) {
 			case 0:
@@ -232,16 +127,19 @@ func TestEnergyNeverExceedsActiveRounds(t *testing.T) {
 			t.Errorf("node %d energy %d exceeds total rounds %d", v, e, res.Rounds)
 		}
 	}
-	if tr.Transmissions+tr.Listens != res.TotalEnergy() {
-		t.Errorf("tracer action count %d != total energy %d",
-			tr.Transmissions+tr.Listens, res.TotalEnergy())
+	var actions uint64
+	for _, s := range rec.rounds {
+		actions += uint64(len(s.Transmitters) + len(s.Listeners))
+	}
+	if actions != res.TotalEnergy() {
+		t.Errorf("observed action count %d != total energy %d", actions, res.TotalEnergy())
 	}
 }
 
 func TestTracerRoundsMonotone(t *testing.T) {
 	g := graph.Complete(4)
-	rec := &RecordingTracer{}
-	_, err := Run(g, Config{Model: ModelCD, Seed: 5, Tracer: rec}, func(env *Env) int64 {
+	rec := &recordingObserver{}
+	_, err := Run(g, Config{Model: ModelCD, Seed: 5, Observer: rec}, func(env *Env) int64 {
 		for i := 0; i < 10; i++ {
 			if env.Rand().Int63()&1 == 1 {
 				env.Listen()
@@ -254,10 +152,10 @@ func TestTracerRoundsMonotone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 1; i < len(rec.Events); i++ {
-		if rec.Events[i].Round <= rec.Events[i-1].Round {
-			t.Fatalf("event rounds not strictly increasing: %d then %d",
-				rec.Events[i-1].Round, rec.Events[i].Round)
+	for i := 1; i < len(rec.rounds); i++ {
+		if rec.rounds[i].Round <= rec.rounds[i-1].Round {
+			t.Fatalf("observed rounds not strictly increasing: %d then %d",
+				rec.rounds[i-1].Round, rec.rounds[i].Round)
 		}
 	}
 }

@@ -81,18 +81,18 @@ func TestWakeRoundNilIsSynchronous(t *testing.T) {
 
 func TestTracerUnderStaggeredWake(t *testing.T) {
 	// Four nodes with distinct wake offsets, no edges: each listens twice
-	// then halts. Tracer callbacks must respect the per-node offsets: node
-	// i's first traced activity is at round wake[i], and NodeHalted fires
-	// at wake[i]+2 (the round after its last awake action).
+	// then halts. Observer callbacks must respect the per-node offsets:
+	// node i's first observed activity is at round wake[i], and
+	// ObserveHalt fires at wake[i]+2 (the round after its last awake
+	// action).
 	wake := []uint64{0, 3, 3, 7}
 	g := graph.New(4)
-	rec := &RecordingTracer{}
-	cnt := &CountingTracer{}
+	rec := &recordingObserver{}
 	_, err := Run(g, Config{
 		Model:     ModelCD,
 		Seed:      1,
 		WakeRound: wake,
-		Tracer:    MultiTracer{rec, cnt},
+		Observer:  rec,
 	}, func(env *Env) int64 {
 		env.Listen()
 		env.Listen()
@@ -103,29 +103,31 @@ func TestTracerUnderStaggeredWake(t *testing.T) {
 	}
 
 	firstSeen := map[int]uint64{}
-	for _, ev := range rec.Events {
-		for _, id := range ev.Listeners {
-			if _, ok := firstSeen[id]; !ok {
-				firstSeen[id] = ev.Round
+	listens := 0
+	for _, s := range rec.rounds {
+		for _, rx := range s.Listeners {
+			if _, ok := firstSeen[rx.ID]; !ok {
+				firstSeen[rx.ID] = s.Round
 			}
 		}
+		listens += len(s.Listeners)
 	}
 	for id, w := range wake {
 		if firstSeen[id] != w {
-			t.Errorf("node %d first traced at round %d, want wake round %d", id, firstSeen[id], w)
+			t.Errorf("node %d first observed at round %d, want wake round %d", id, firstSeen[id], w)
 		}
-		if got := rec.HaltRound[id]; got != w+2 {
+		if got := rec.halts[id]; got != w+2 {
 			t.Errorf("node %d halted at round %d, want %d (wake %d + 2 listens)", id, got, w+2, w)
 		}
 	}
-	if cnt.Listens != 8 {
-		t.Errorf("counted %d listens, want 8", cnt.Listens)
+	if listens != 8 {
+		t.Errorf("counted %d listens, want 8", listens)
 	}
 	// Rounds 3 and 7 host two resp. one listeners alongside earlier nodes
-	// only if offsets overlap; ActiveRounds must equal the number of
+	// only if offsets overlap; the observed rounds must be exactly the
 	// distinct rounds with awake nodes: {0,1, 3,4, 7,8} = 6.
-	if cnt.ActiveRounds != 6 {
-		t.Errorf("ActiveRounds = %d, want 6", cnt.ActiveRounds)
+	if len(rec.rounds) != 6 {
+		t.Errorf("observed %d active rounds, want 6", len(rec.rounds))
 	}
 }
 

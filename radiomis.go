@@ -39,9 +39,7 @@
 // to 64 trials per engine pass at a fraction of the per-trial cost. Every
 // trial's result is bit-identical to the corresponding single-trial Solve.
 //
-// The per-algorithm SolveCD, SolveBeep, … functions are deprecated
-// one-line conveniences over Solve. All runs are deterministic in
-// (graph, params, seed).
+// All runs are deterministic in (graph, params, seed).
 package radiomis
 
 import (
@@ -241,65 +239,6 @@ func DefaultParams(n, delta int) Params { return mis.ParamsDefault(n, delta) }
 // PaperParams returns the conservative constants for which the paper
 // proves its 1 − 1/poly(n) guarantees (slow; see Params documentation).
 func PaperParams(n, delta int) Params { return mis.ParamsPaper(n, delta) }
-
-// SolveCD runs Algorithm 1 (energy-optimal MIS, CD model) on g.
-//
-// Deprecated: use Solve with Spec{Algorithm: "cd"}; for multi-trial
-// batches use SolveMany.
-func SolveCD(g *Graph, p Params, seed uint64) (*Result, error) {
-	return Solve(g, Spec{Algorithm: "cd", Params: p, Seed: seed})
-}
-
-// SolveBeep runs Algorithm 1 unchanged in the beeping model (§3.1).
-//
-// Deprecated: use Solve with Spec{Algorithm: "beep"}; for multi-trial
-// batches use SolveMany.
-func SolveBeep(g *Graph, p Params, seed uint64) (*Result, error) {
-	return Solve(g, Spec{Algorithm: "beep", Params: p, Seed: seed})
-}
-
-// SolveNoCD runs Algorithm 2 (energy-efficient MIS, no-CD model) on g.
-//
-// Deprecated: use Solve with Spec{Algorithm: "nocd"}; for multi-trial
-// batches use SolveMany.
-func SolveNoCD(g *Graph, p Params, seed uint64) (*Result, error) {
-	return Solve(g, Spec{Algorithm: "nocd", Params: p, Seed: seed})
-}
-
-// SolveLowDegree runs the round-improved Davies-style MIS of §4.2 on g in
-// the no-CD model (the best-known-prior baseline).
-//
-// Deprecated: use Solve with Spec{Algorithm: "lowdegree"}; for
-// multi-trial batches use SolveMany.
-func SolveLowDegree(g *Graph, p Params, seed uint64) (*Result, error) {
-	return Solve(g, Spec{Algorithm: "lowdegree", Params: p, Seed: seed})
-}
-
-// SolveNaiveCD runs the straightforward Luby baseline in the CD model
-// (O(log² n) energy).
-//
-// Deprecated: use Solve with Spec{Algorithm: "naive-cd"}; for multi-trial
-// batches use SolveMany.
-func SolveNaiveCD(g *Graph, p Params, seed uint64) (*Result, error) {
-	return Solve(g, Spec{Algorithm: "naive-cd", Params: p, Seed: seed})
-}
-
-// SolveNaiveNoCD runs the naive backoff simulation of Algorithm 1 in the
-// no-CD model (O(log⁴ n) worst-case energy).
-//
-// Deprecated: use Solve with Spec{Algorithm: "naive-nocd"}; for
-// multi-trial batches use SolveMany.
-func SolveNaiveNoCD(g *Graph, p Params, seed uint64) (*Result, error) {
-	return Solve(g, Spec{Algorithm: "naive-nocd", Params: p, Seed: seed})
-}
-
-// SolveUnknownDelta runs the §1.1 unknown-Δ wrapper in the no-CD model.
-//
-// Deprecated: use Solve with Spec{Algorithm: "unknown-delta"}; for
-// multi-trial batches use SolveMany.
-func SolveUnknownDelta(g *Graph, p Params, seed uint64) (*Result, error) {
-	return Solve(g, Spec{Algorithm: "unknown-delta", Params: p, Seed: seed})
-}
 
 // SolveLinear runs the linear-time sequential min-degree greedy MIS — the
 // centralized O(n+m) baseline with no radio rounds, and the batch

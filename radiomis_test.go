@@ -44,16 +44,9 @@ func TestFacadeRandomGraphsDeterministic(t *testing.T) {
 func TestFacadeSolversEndToEnd(t *testing.T) {
 	g := GNP(96, 0.08, 11)
 	p := DefaultParams(g.N(), g.MaxDegree())
-	solvers := map[string]func(*Graph, Params, uint64) (*Result, error){
-		"cd":        SolveCD,
-		"beep":      SolveBeep,
-		"nocd":      SolveNoCD,
-		"lowdegree": SolveLowDegree,
-		"naive-cd":  SolveNaiveCD,
-	}
-	for name, solve := range solvers {
+	for _, name := range []string{"cd", "beep", "nocd", "lowdegree", "naive-cd", "naive-nocd", "unknown-delta"} {
 		t.Run(name, func(t *testing.T) {
-			res, err := solve(g, p, 5)
+			res, err := Solve(g, Spec{Algorithm: name, Params: p, Seed: 5})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -111,7 +104,7 @@ func TestFacadeCongestLuby(t *testing.T) {
 func TestFacadeBackbonePipeline(t *testing.T) {
 	g := Grid(8, 8)
 	p := DefaultParams(g.N(), g.MaxDegree())
-	res, err := SolveCD(g, p, 6)
+	res, err := Solve(g, Spec{Algorithm: "cd", Params: p, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}

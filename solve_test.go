@@ -7,41 +7,37 @@ import (
 	"testing"
 
 	"radiomis"
+	"radiomis/internal/mis"
 )
 
-// solveFacades pairs every per-algorithm convenience with its registry
-// name, for the Solve-equivalence sweep.
-var solveFacades = []struct {
-	algo string
-	fn   func(*radiomis.Graph, radiomis.Params, uint64) (*radiomis.Result, error)
-}{
-	{"cd", radiomis.SolveCD},
-	{"beep", radiomis.SolveBeep},
-	{"nocd", radiomis.SolveNoCD},
-	{"lowdegree", radiomis.SolveLowDegree},
-	{"naive-cd", radiomis.SolveNaiveCD},
-	{"naive-nocd", radiomis.SolveNaiveNoCD},
-	{"unknown-delta", radiomis.SolveUnknownDelta},
-}
-
-// TestSolveMatchesFacades pins the unified-API contract: every Solve*
-// convenience is bit-for-bit identical to Solve with the corresponding
-// Spec at the same (graph, params, seed).
+// TestSolveMatchesFacades pins the single-trial facade contract: at every
+// algorithm name Solve is bit-for-bit the registry's mis.Run with the
+// same (graph, params, seed), and a one-seed SolveMany agrees with it.
 func TestSolveMatchesFacades(t *testing.T) {
 	g := radiomis.GNP(96, 6.0/96, 11)
 	p := radiomis.DefaultParams(g.N(), g.MaxDegree())
-	for _, tc := range solveFacades {
-		t.Run(tc.algo, func(t *testing.T) {
-			want, err := tc.fn(g, p, 42)
+	for _, algo := range []string{"cd", "beep", "nocd", "lowdegree", "naive-cd", "naive-nocd", "unknown-delta"} {
+		t.Run(algo, func(t *testing.T) {
+			want, err := mis.Run(algo, g, p, mis.RunOpts{Seed: 42})
 			if err != nil {
-				t.Fatalf("Solve%s: %v", tc.algo, err)
+				t.Fatalf("mis.Run: %v", err)
 			}
-			got, err := radiomis.Solve(g, radiomis.Spec{Algorithm: tc.algo, Params: p, Seed: 42})
+			got, err := radiomis.Solve(g, radiomis.Spec{Algorithm: algo, Params: p, Seed: 42})
 			if err != nil {
 				t.Fatalf("Solve: %v", err)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Errorf("Solve(%q) diverges from its facade at the same seed", tc.algo)
+				t.Errorf("Solve(%q) diverges from mis.Run at the same seed", algo)
+			}
+			many, err := radiomis.SolveMany(g, radiomis.ManySpec{
+				Spec:  radiomis.Spec{Algorithm: algo, Params: p},
+				Seeds: []uint64{42},
+			})
+			if err != nil {
+				t.Fatalf("SolveMany: %v", err)
+			}
+			if len(many) != 1 || !reflect.DeepEqual(many[0], got) {
+				t.Errorf("one-seed SolveMany(%q) diverges from Solve", algo)
 			}
 			if err := got.Check(g); err != nil {
 				t.Errorf("Check: %v", err)
