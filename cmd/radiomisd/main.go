@@ -11,8 +11,7 @@
 //	radiomisd -pprof              # also mount /debug/pprof/ profiling endpoints
 //	radiomisd -log-format json -log-level debug
 //	radiomisd -trace=false        # disable distributed tracing
-//	radiomisd -data-dir /var/lib/radiomisd          # durable WAL job store
-//	radiomisd -coordinator http://w1:8347,http://w2:8347  # cluster coordinator
+//	radiomisd -data-dir /var/lib/radiomisd   # durable WAL job store
 //	radiomisd -version            # print build information and exit
 //
 // With -data-dir, every accepted job and state transition is appended to
@@ -21,23 +20,6 @@
 // (the engine is deterministic per seed, so they re-execute to the same
 // results). Without the flag the daemon is purely in-memory, exactly as
 // before.
-//
-// With -coordinator, the daemon becomes a cluster coordinator: solve jobs
-// with ≥ 2 trials are split into seed-range shards and fanned out to the
-// given worker daemons (ordinary radiomisd processes) over the v1 API,
-// with shards stolen from workers that die mid-job; merged results are
-// bit-identical to a single-node run. GET /v1/cluster reports the
-// coordinator's view of its workers. Note the worker list rides on
-// -coordinator itself: -workers has always been the executor pool size.
-//
-// A coordinator also runs the cluster observability plane: it pulls each
-// worker's /v1/telemetry snapshot every -federate-interval and serves a
-// federated /metrics (per-worker samples plus a worker="cluster"
-// aggregate), re-emits worker shard progress on the fanned-out job's own
-// /events stream with worker/shard attribution, and stitches worker spans
-// into /debug/traces so one trace spans coordinator and workers. With
-// -cluster-degrade=false a fan-out that loses every worker fails instead
-// of running locally, and /readyz turns 503 while all workers are dead.
 //
 // The daemon traces by default: every /v1 request runs under a root span
 // (continuing an inbound W3C traceparent), jobs hang their span trees
@@ -60,11 +42,9 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"strings"
 	"syscall"
 	"time"
 
-	"radiomis/internal/cluster"
 	"radiomis/internal/logx"
 	"radiomis/internal/server"
 	"radiomis/internal/store"
@@ -94,11 +74,6 @@ func run(args []string) error {
 		dataDir      = fs.String("data-dir", "", "directory for the durable WAL job store (empty = in-memory only)")
 		walSegBytes  = fs.Int64("wal-segment-bytes", 0, "WAL segment rotation threshold in bytes (0 = default 8 MiB)")
 		walSync      = fs.Bool("wal-sync", false, "fsync the WAL after every append (survives power loss, not just crashes)")
-		coordinator  = fs.String("coordinator", "", "comma-separated worker daemon URLs; non-empty runs this daemon as a cluster coordinator")
-		shardsPer    = fs.Int("shards-per-worker", 2, "coordinator fan-out granularity: max shards per worker per job")
-		liveness     = fs.Duration("cluster-liveness", 30*time.Second, "coordinator declares a worker dead after this much event-stream silence")
-		fedInterval  = fs.Duration("federate-interval", 15*time.Second, "how often the coordinator pulls worker telemetry snapshots (negative disables federation)")
-		degrade      = fs.Bool("cluster-degrade", true, "run fan-outs locally when every worker is lost (false fails the job and turns /readyz red)")
 		logLevel     = fs.String("log-level", "info", "log level: debug, info, warn, error")
 		logFormat    = fs.String("log-format", "text", "log format: text or json")
 		version      = fs.Bool("version", false, "print build information and exit")
@@ -141,8 +116,8 @@ func run(args []string) error {
 		tracer = trace.New(*traceBuffer)
 	}
 
-	// One registry serves /metrics for every subsystem: the job manager,
-	// the WAL store, and the cluster coordinator all register on it.
+	// One registry serves /metrics for every subsystem: the job manager
+	// and the WAL store both register on it.
 	reg := telemetry.New()
 
 	var st *store.Log
@@ -159,34 +134,6 @@ func run(args []string) error {
 		log.Info("wal open", "dataDir", *dataDir, "jobs", len(st.Jobs()), "tornTail", st.TornTail())
 	}
 
-	var coord *cluster.Coordinator
-	var executor server.ExecuteFunc
-	if *coordinator != "" {
-		urls := strings.Split(*coordinator, ",")
-		for i := range urls {
-			urls[i] = strings.TrimSpace(urls[i])
-		}
-		var err error
-		coord, err = cluster.New(cluster.Options{
-			Workers:          urls,
-			ShardsPerWorker:  *shardsPer,
-			Liveness:         *liveness,
-			DisableFallback:  !*degrade,
-			FederateInterval: *fedInterval,
-			Tracer:           tracer,
-			Registry:         reg,
-			Logger:           log,
-		})
-		if err != nil {
-			return err
-		}
-		defer coord.Close()
-		executor = coord.Executor()
-		log.Info("coordinator mode", "workers", urls,
-			"shardsPerWorker", *shardsPer, "liveness", *liveness,
-			"federateInterval", *fedInterval, "degrade", *degrade)
-	}
-
 	mgr := server.New(server.Options{
 		Workers:        *workers,
 		QueueDepth:     *queue,
@@ -194,26 +141,12 @@ func run(args []string) error {
 		Tracer:         tracer,
 		Logger:         log,
 		EventHeartbeat: *heartbeat,
-		Executor:       executor,
 		Store:          st,
 		Registry:       reg,
 	})
 	var hopts []server.HandlerOption
 	if *pprofOn {
 		hopts = append(hopts, server.WithPprof())
-	}
-	if coord != nil {
-		// The coordinator's observability plane: federated /metrics and
-		// /v1/cluster, worker liveness on /readyz, and on-demand stitching
-		// of worker spans into /debug/traces.
-		hopts = append(hopts,
-			server.WithClusterStatus(func() any { return coord.Status() }),
-			server.WithFederatedMetrics(coord.WorkerSnapshots),
-			server.WithClusterReadiness(coord.Readiness),
-		)
-		if tracer != nil {
-			hopts = append(hopts, server.WithTraceImport(coord.StitchTrace))
-		}
 	}
 	srv := &http.Server{Addr: *addr, Handler: server.NewHandler(mgr, hopts...)}
 

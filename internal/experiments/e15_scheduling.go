@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"radiomis/internal/graph"
@@ -60,7 +61,8 @@ func E15Scheduling(ctx context.Context, cfg Config) (*Report, error) {
 			"batches", "maxBatch", "meanBatch", "planMs")
 		for _, d := range degrees {
 			d := d
-			var planMsTotal float64
+			// Trials run concurrently, so plan time accumulates atomically.
+			var planNs atomic.Int64
 			agg, err := harness.Repeat(ctx,
 				harness.Options{Trials: t, Seed: rng.Mix(cfg.Seed, uint64(d))},
 				func(ctx context.Context, seed uint64) (harness.Metrics, error) {
@@ -73,7 +75,7 @@ func E15Scheduling(ctx context.Context, cfg Config) (*Report, error) {
 					if err != nil {
 						return nil, err
 					}
-					planMsTotal += float64(time.Since(start)) / float64(time.Millisecond)
+					planNs.Add(int64(time.Since(start)))
 					if err := plan.Validate(g); err != nil {
 						return nil, fmt.Errorf("invalid plan (%s, d=%v): %w", cond.algo, d, err)
 					}
@@ -88,7 +90,7 @@ func E15Scheduling(ctx context.Context, cfg Config) (*Report, error) {
 				return nil, fmt.Errorf("experiments: e15 %s d=%v: %w", cond.algo, d, err)
 			}
 			table.AddRow(d, agg.Mean("batches"), agg.Mean("maxBatch"), agg.Mean("meanBatch"),
-				planMsTotal/float64(t))
+				float64(planNs.Load())/float64(time.Millisecond)/float64(t))
 			report.AddAggregate("schedule/"+cond.algo, d, agg)
 		}
 		report.Tables = append(report.Tables, table)

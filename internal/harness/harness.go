@@ -82,10 +82,10 @@ type Options struct {
 	// so experiment results are reproducible.
 	Seed uint64
 	// SeedOffset shifts the trial-index stream: trial i of this batch is
-	// globally trial SeedOffset+i. A coordinator sharding a Trials=N job
-	// across workers hands shard [off, off+k) Options{Trials: k, Seed,
-	// SeedOffset: off} and gets bit-identical per-trial seeds to a
-	// single-node run. Zero (the default) is the historical behavior.
+	// globally trial SeedOffset+i, so Options{Trials: k, Seed,
+	// SeedOffset: off} reruns trials [off, off+k) of a larger batch with
+	// bit-identical per-trial seeds. Zero (the default) is the historical
+	// behavior.
 	SeedOffset int
 	// Parallelism caps concurrent trials; 0 means GOMAXPROCS.
 	Parallelism int

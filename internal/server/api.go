@@ -90,16 +90,14 @@ type JobRequest struct {
 
 	// TrialOffset shifts the trial-index stream of a solve job: trial i of
 	// this job is globally trial TrialOffset+i, with seed
-	// rng.Mix(Seed, TrialOffset+i). A cluster coordinator uses it to shard
-	// a Trials=N job into seed-range shards whose per-trial seeds are
-	// bit-identical to the single-node run; clients rarely set it. Zero
-	// (the default) is the historical behavior and is omitted from the
-	// canonical encoding, so legacy cache keys are unchanged.
+	// rng.Mix(Seed, TrialOffset+i). A job with TrialOffset k and Trials m
+	// therefore reruns exactly trials [k, k+m) of any larger job at the
+	// same seed. Zero (the default) is the historical behavior and is
+	// omitted from the canonical encoding, so legacy cache keys are
+	// unchanged.
 	TrialOffset int `json:"trialOffset,omitempty"`
-	// Rows asks a solve job to return per-trial metric rows alongside the
-	// aggregate summaries. Shard responses always set it: rows are what a
-	// coordinator concatenates (by global trial index) to rebuild the
-	// merged result deterministically.
+	// Rows asks a solve job to return per-trial metric rows, indexed by
+	// global trial, alongside the aggregate summaries.
 	Rows bool `json:"rows,omitempty"`
 
 	// Seed makes the job reproducible (and is part of the cache key).
@@ -177,9 +175,7 @@ func (r *JobRequest) Normalize() error {
 // ResolveEngine reports the trial engine a normalized solve request runs
 // on: lockstep when the job is eligible (lane-capable algorithm,
 // seed-invariant family, no faults) and the request does not force
-// scalar; scalar otherwise. The executor and the cluster coordinator's
-// shard merge both use it, so a merged result reports the same engine a
-// single-node run would.
+// scalar; scalar otherwise.
 func ResolveEngine(req JobRequest) string {
 	fam, err := graph.ParseFamily(req.Family)
 	if err != nil {
@@ -258,10 +254,7 @@ type SolveResult struct {
 	Engine  string                   `json:"engine,omitempty"`
 	Metrics map[string]stats.Summary `json:"metrics"`
 	// Rows holds the per-trial metric rows, in global trial order, when
-	// the request set Rows. Shard results always carry them; the
-	// coordinator merges shards by concatenating rows by trial index and
-	// recomputing Metrics exactly as the harness would, so merged results
-	// are bit-identical to a single-node run.
+	// the request set Rows.
 	Rows []TrialRow `json:"rows,omitempty"`
 }
 
@@ -336,29 +329,6 @@ type perfEvent struct {
 	QueueWaitMs float64 `json:"queueWaitMs"`
 	RunMs       float64 `json:"runMs"`
 	TraceID     string  `json:"traceId,omitempty"`
-}
-
-// ShardEvent is a line a cluster coordinator re-emits on a fanned-out
-// job's client-facing event stream, attributing one worker-shard's
-// progress: `{"ev":"shard", ...}` lines interleave with the job's own
-// state/progress/perf lines so a single /v1/jobs/{id}/events connection
-// shows the whole fan-out. State is "running" when a shard is dispatched,
-// "done"/"failed" when its worker finishes, "stolen" when a dead worker's
-// shard is requeued, and "degraded" when the coordinator abandons fan-out
-// and falls back to local execution. Progress re-emissions (worker
-// stage/done/total lines) carry an empty State.
-type ShardEvent struct {
-	Ev          string `json:"ev"` // always "shard"
-	Worker      string `json:"worker"`
-	Shard       int    `json:"shard"`
-	TrialOffset int    `json:"trialOffset,omitempty"`
-	Trials      int    `json:"trials,omitempty"`
-	State       string `json:"state,omitempty"`
-	Stage       string `json:"stage,omitempty"`
-	Done        int    `json:"done,omitempty"`
-	Total       int    `json:"total,omitempty"`
-	Error       string `json:"error,omitempty"`
-	TraceID     string `json:"traceId,omitempty"`
 }
 
 // scalarFallbackReason explains why a normalized solve request resolved to

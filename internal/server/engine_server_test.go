@@ -95,6 +95,7 @@ func TestEngineRejection(t *testing.T) {
 // TestEngineLockstepJobMatchesScalar runs the same solve job on both
 // engines and requires bit-identical per-trial rows — the server-level
 // version of the mis parity guarantee. 70 trials spans two lane groups.
+// On each engine a TrialOffset job must also reproduce its slice of rows.
 func TestEngineLockstepJobMatchesScalar(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 2})
 	base := JobRequest{Kind: KindSolve, Algorithm: "cd", Family: "cycle", N: 33,
@@ -125,6 +126,19 @@ func TestEngineLockstepJobMatchesScalar(t *testing.T) {
 			t.Fatalf("engine %s: %d rows, want %d", engine, len(sr.Rows), base.Trials)
 		}
 		results[engine] = sr
+
+		// TrialOffset reruns a trial range: trials [5, 70) must come back
+		// as exactly rows[5:] of the full job, trial indices and seeds
+		// included.
+		req.TrialOffset, req.Trials = 5, base.Trials-5
+		st, _ = submit(t, ts, req)
+		tail := waitTerminal(t, ts, st.ID)
+		if tail.State != StateDone {
+			t.Fatalf("engine %s, trialOffset 5: state = %q (error %q)", engine, tail.State, tail.Error)
+		}
+		if !reflect.DeepEqual(tail.Result.Solve.Rows, sr.Rows[5:]) {
+			t.Errorf("engine %s: trialOffset 5 rows differ from rows[5:] of the %d-trial job", engine, base.Trials)
+		}
 	}
 	sc, lk := results[mis.EngineScalar], results[mis.EngineLockstep]
 	if !reflect.DeepEqual(sc.Rows, lk.Rows) {

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -18,11 +17,7 @@ import (
 type HandlerOption func(*handlerConfig)
 
 type handlerConfig struct {
-	pprof       bool
-	cluster     func() any
-	federated   func() []telemetry.WorkerSnapshot
-	readiness   func() ClusterReadiness
-	traceImport func(ctx context.Context, traceID string)
+	pprof bool
 }
 
 // WithPprof mounts Go's net/http/pprof profiling endpoints under
@@ -32,51 +27,6 @@ type handlerConfig struct {
 // the rest of the API.
 func WithPprof() HandlerOption {
 	return func(c *handlerConfig) { c.pprof = true }
-}
-
-// WithClusterStatus mounts GET /v1/cluster serving whatever the given
-// function returns as JSON — a coordinator daemon installs its live
-// worker/shard status document here. Daemons not running as a
-// coordinator leave it unset and the route 404s.
-func WithClusterStatus(status func() any) HandlerOption {
-	return func(c *handlerConfig) { c.cluster = status }
-}
-
-// WithFederatedMetrics turns GET /metrics into a coordinator's federated
-// exposition: the function supplies the most recently pulled worker
-// telemetry snapshots, rendered as per-worker `worker="<url>"` samples and
-// a `worker="cluster"` aggregate alongside the daemon's own families.
-func WithFederatedMetrics(workers func() []telemetry.WorkerSnapshot) HandlerOption {
-	return func(c *handlerConfig) { c.federated = workers }
-}
-
-// ClusterReadiness is a coordinator's worker-liveness summary, folded
-// into GET /readyz by WithClusterReadiness.
-type ClusterReadiness struct {
-	WorkersLive int
-	WorkersDead int
-	// DegradeEnabled reports whether the coordinator falls back to local
-	// execution when fan-out is impossible; without it, a coordinator with
-	// zero live workers cannot serve sharded work and reports not-ready.
-	DegradeEnabled bool
-}
-
-// WithClusterReadiness extends GET /readyz with live/dead worker counts.
-// When every worker is dead and local degradation is disabled the probe
-// returns 503 "no live workers", so ingresses stop routing to a
-// coordinator that can only fail submissions.
-func WithClusterReadiness(readiness func() ClusterReadiness) HandlerOption {
-	return func(c *handlerConfig) { c.readiness = readiness }
-}
-
-// WithTraceImport installs an on-demand trace stitcher: when
-// GET /debug/traces is queried with ?trace=<id>, the function is invited
-// to pull and import that trace's remote spans (a coordinator fetches its
-// workers' /debug/traces) before the local ring is snapshotted, so the
-// response is the complete cross-process tree even if the background
-// stitch has not run yet.
-func WithTraceImport(imp func(ctx context.Context, traceID string)) HandlerOption {
-	return func(c *handlerConfig) { c.traceImport = imp }
 }
 
 // NewHandler returns the radiomisd HTTP API:
@@ -93,21 +43,12 @@ func WithTraceImport(imp func(ctx context.Context, traceID string)) HandlerOptio
 //	                            synchronously (200 plan, 400 invalid); identical
 //	                            requests replay from an LRU plan cache
 //	GET    /v1/algorithms       discovery: registered algorithms + param knobs
-//	GET    /v1/cluster          coordinator status (only with WithClusterStatus)
-//	GET    /v1/telemetry        telemetry snapshot in the versioned JSON wire
-//	                            form coordinators federate (untraced, like
-//	                            /metrics)
 //	GET    /healthz             liveness probe + build information
 //	GET    /readyz              readiness probe (503 while replaying the WAL
-//	                            at startup or draining at shutdown; on a
-//	                            coordinator, also worker liveness — 503 when
-//	                            all workers are dead and degradation is off)
-//	GET    /metrics             Prometheus text exposition (format 0.0.4);
-//	                            federated per-worker + cluster samples on a
-//	                            coordinator (WithFederatedMetrics)
+//	                            at startup or draining at shutdown)
+//	GET    /metrics             Prometheus text exposition (format 0.0.4)
 //	GET    /debug/traces        recent spans (json; ?format=chrome|otlp;
-//	                            ?trace=<id> filters to — and, on a
-//	                            coordinator, stitches — one trace tree)
+//	                            ?trace=<id> filters to one trace tree)
 //	GET    /debug/pprof/...     Go profiling endpoints (only with WithPprof)
 //
 // When the manager has a tracer, every /v1 request runs under a root span:
@@ -157,37 +98,23 @@ func NewHandler(m *Manager, opts ...HandlerOption) http.Handler {
 	})
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
 		// Liveness (/healthz) says "the process is up"; readiness says
-		// "route work here". They split so a coordinator or ingress stops
-		// sending jobs to a worker that is still replaying its WAL or has
-		// begun draining — before it actually goes away.
+		// "route work here". They split so an ingress stops sending jobs
+		// to a daemon that is still replaying its WAL or has begun
+		// draining — before it actually goes away.
 		ready, reason := m.Ready()
 		resp := ReadyResponse{Status: "ready", Schema: SchemaVersion}
 		status := http.StatusOK
 		if !ready {
 			resp.Status, status = reason, http.StatusServiceUnavailable
 		}
-		if cfg.readiness != nil {
-			cr := cfg.readiness()
-			resp.WorkersLive, resp.WorkersDead = &cr.WorkersLive, &cr.WorkersDead
-			if ready && cr.WorkersLive == 0 && !cr.DegradeEnabled {
-				resp.Status, status = "no live workers", http.StatusServiceUnavailable
-			}
-		}
 		writeJSON(w, status, resp)
 	})
-	if cfg.cluster != nil {
-		mux.HandleFunc("GET /v1/cluster", func(w http.ResponseWriter, r *http.Request) {
-			writeJSON(w, http.StatusOK, cfg.cluster())
-		})
-	}
-	mux.HandleFunc("GET /v1/telemetry", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, m.TelemetrySnapshot())
-	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		handleMetrics(m, &cfg, w)
+		w.Header().Set("Content-Type", telemetry.ContentType)
+		m.WriteMetrics(w)
 	})
 	mux.HandleFunc("GET /debug/traces", func(w http.ResponseWriter, r *http.Request) {
-		handleTraces(m, &cfg, w, r)
+		handleTraces(m, w, r)
 	})
 	if cfg.pprof {
 		// pprof.Index dispatches /debug/pprof/{heap,goroutine,...} itself,
@@ -211,9 +138,7 @@ func NewHandler(m *Manager, opts ...HandlerOption) http.Handler {
 func traceMiddleware(m *Manager, next http.Handler) http.Handler {
 	tr := m.opts.Tracer
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		// /v1/telemetry is a scrape target like /metrics (coordinators poll
-		// it every federation interval), so it stays untraced too.
-		if !strings.HasPrefix(r.URL.Path, "/v1/") || r.URL.Path == "/v1/telemetry" {
+		if !strings.HasPrefix(r.URL.Path, "/v1/") {
 			next.ServeHTTP(w, r)
 			return
 		}
@@ -362,23 +287,11 @@ func handleEvents(m *Manager, w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func handleMetrics(m *Manager, cfg *handlerConfig, w http.ResponseWriter) {
-	w.Header().Set("Content-Type", telemetry.ContentType)
-	if cfg.federated != nil {
-		m.WriteMetricsFederated(w, cfg.federated())
-		return
-	}
-	m.WriteMetrics(w)
-}
-
 // handleTraces serves the tracer's recent-span ring: by default a JSON
 // document of span records (newest last), with ?format=chrome for a
 // chrome://tracing / Perfetto file and ?format=otlp for OTLP/JSON.
-// ?trace=<32-hex-id> restricts every format to one trace tree — and, on a
-// coordinator with a trace importer installed, first pulls that tree's
-// remote spans from the workers so the response is the stitched
-// cross-process tree.
-func handleTraces(m *Manager, cfg *handlerConfig, w http.ResponseWriter, r *http.Request) {
+// ?trace=<32-hex-id> restricts every format to one trace tree.
+func handleTraces(m *Manager, w http.ResponseWriter, r *http.Request) {
 	tr := m.opts.Tracer
 	if tr == nil {
 		writeError(w, http.StatusNotFound, "tracing disabled (start radiomisd without -trace-off)")
@@ -392,9 +305,6 @@ func handleTraces(m *Manager, cfg *handlerConfig, w http.ResponseWriter, r *http
 			return
 		}
 		filter = id
-		if cfg.traceImport != nil {
-			cfg.traceImport(r.Context(), q)
-		}
 	}
 	spans := tr.Spans()
 	if !filter.IsZero() {

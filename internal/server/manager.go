@@ -58,12 +58,6 @@ type Options struct {
 	// writes a {"ev":"heartbeat"} keep-alive line (default 15s; negative
 	// disables heartbeats).
 	EventHeartbeat time.Duration
-	// Executor, when non-nil, replaces the local simulation executor for
-	// every job. A cluster coordinator installs its fan-out executor here;
-	// the whole job lifecycle (queue, cache, dedup, WAL, events, spans)
-	// is unchanged — only the work happens elsewhere. nil means
-	// ExecuteLocal.
-	Executor ExecuteFunc
 	// Store, when non-nil, makes the job queue durable: every accepted
 	// job and state transition is appended to the WAL, and New replays
 	// the log — terminal jobs come back with their results (warming the
@@ -71,19 +65,15 @@ type Options struct {
 	// Replayed jobs keep their IDs; new IDs continue after them.
 	Store *store.Log
 	// Registry, when non-nil, is the telemetry registry behind GET
-	// /metrics. Injecting one lets collaborating subsystems created before
-	// the manager (the WAL store, a cluster coordinator) expose their
-	// instrument families on the same endpoint. nil means a fresh private
-	// registry.
+	// /metrics. Injecting one lets a subsystem created before the manager
+	// (the WAL store) expose its instrument families on the same endpoint.
+	// nil means a fresh private registry.
 	Registry *telemetry.Registry
 }
 
-// ExecuteFunc runs one normalized job request to completion.
-type ExecuteFunc func(ctx context.Context, req JobRequest) (*JobResult, error)
-
-// ExecuteLocal is the default executor: it runs the simulation described
-// by a normalized request in-process. Cluster coordinators fall back to
-// it for work they do not shard.
+// ExecuteLocal runs the simulation described by a normalized request
+// in-process and returns its result, bypassing the manager's queue,
+// cache and WAL. Jobs run through the same code.
 func ExecuteLocal(ctx context.Context, req JobRequest) (*JobResult, error) {
 	return execute(ctx, req)
 }
@@ -143,8 +133,8 @@ type Manager struct {
 
 	// ready flips to true once startup replay has re-enqueued persisted
 	// jobs, and back to false when draining starts; GET /readyz reports
-	// it so cluster coordinators and k8s-style probes stop routing to a
-	// worker before it goes away. Atomic so the HTTP path skips m.mu.
+	// it so load balancers and k8s-style probes stop routing to a daemon
+	// before it goes away. Atomic so the HTTP path skips m.mu.
 	ready atomic.Bool
 
 	// reg is the daemon-wide telemetry registry behind GET /metrics; met
@@ -295,8 +285,8 @@ func New(opts Options) *Manager {
 }
 
 // Registry returns the daemon-wide telemetry registry behind
-// GET /metrics, so collaborating subsystems (the cluster coordinator,
-// the WAL) can register their instrument families on it.
+// GET /metrics, so collaborating subsystems can register their
+// instrument families on it.
 func (m *Manager) Registry() *telemetry.Registry { return m.reg }
 
 // Job is one submitted simulation run.
@@ -650,43 +640,6 @@ func (m *Manager) WriteMetrics(w io.Writer) error {
 	return m.reg.WritePrometheus(w)
 }
 
-// WriteMetricsFederated is WriteMetrics for a coordinator: one combined
-// exposition carrying the daemon's own samples, each worker's samples
-// labeled worker="<url>", and the cluster aggregate labeled
-// worker="cluster" (see telemetry.WriteFederatedPrometheus).
-func (m *Manager) WriteMetricsFederated(w io.Writer, workers []telemetry.WorkerSnapshot) error {
-	m.refreshGauges()
-	return telemetry.WriteFederatedPrometheus(w, m.reg.Snapshot(), workers)
-}
-
-// TelemetrySnapshot refreshes the gauges and returns the daemon registry
-// in the versioned snapshot wire form — the body of GET /v1/telemetry,
-// which cluster coordinators poll to federate worker telemetry.
-func (m *Manager) TelemetrySnapshot() telemetry.RegistrySnapshot {
-	m.refreshGauges()
-	return m.reg.Snapshot()
-}
-
-// eventSinkKey carries a job's event-append function on the execution
-// context.
-type eventSinkKey struct{}
-
-// ContextWithEventSink returns a context on which EmitEvent delivers
-// events to sink. The job manager installs a sink pointing at the job's
-// event log before invoking the executor.
-func ContextWithEventSink(ctx context.Context, sink func(ev any)) context.Context {
-	return context.WithValue(ctx, eventSinkKey{}, sink)
-}
-
-// EmitEvent appends ev (any JSON-marshalable event shape, e.g.
-// ShardEvent) to the event stream of the job ctx belongs to. No-op when
-// ctx carries no sink, so executors can emit unconditionally.
-func EmitEvent(ctx context.Context, ev any) {
-	if sink, ok := ctx.Value(eventSinkKey{}).(func(ev any)); ok {
-		sink(ev)
-	}
-}
-
 // Shutdown drains the manager: no new submissions are accepted, queued and
 // running jobs are given until ctx expires to finish, then the remainder
 // are aborted through their contexts. It returns ctx.Err() if the deadline
@@ -757,10 +710,6 @@ func (m *Manager) run(j *Job) {
 	ctx := obs.ContextWithProgress(j.ctx, func(ev obs.ProgressEvent) {
 		j.appendEvent(progressEvent{Ev: "progress", Stage: ev.Stage, Done: ev.Done, Total: ev.Total, X: ev.X, TraceID: j.traceID})
 	})
-	// The event sink lets a non-local executor (the cluster coordinator's
-	// fan-out) append its own attributed lines — shard dispatch, worker
-	// progress, steals — to the same client-facing stream.
-	ctx = ContextWithEventSink(ctx, j.appendEvent)
 	ctx = telemetry.WithRegistry(ctx, j.reg)
 	if tr := m.opts.Tracer; tr != nil {
 		// The queue wait is over, so it is a span whose bounds are already
@@ -775,17 +724,13 @@ func (m *Manager) run(j *Job) {
 	// traceId/spanId itself, so only the job fields ride along explicitly.
 	m.opts.Logger.InfoContext(ctx, "job started",
 		"jobId", j.id, "kind", j.req.Kind, "queueWaitMs", durationMs(queueWait))
-	exec := m.opts.Executor
-	if exec == nil {
-		exec = execute
-	}
-	res, err := exec(ctx, j.req)
+	res, err := execute(ctx, j.req)
 	m.finish(j, res, err)
 }
 
 func (m *Manager) finish(j *Job, res *JobResult, err error) {
 	// Fold the job's private trial telemetry into the daemon registry —
-	// generically, via the snapshot codec, so any family an executor or
+	// generically, via the snapshot codec, so any family the harness or
 	// engine recorded (trial timings, lane occupancy, fallback reasons)
 	// retires into GET /metrics without per-metric plumbing here.
 	if j.reg != nil {
@@ -978,7 +923,7 @@ func solveTrialMetrics(g *graph.Graph, res *mis.Result, faulty bool) harness.Met
 }
 
 // trialRows flattens an aggregate into per-trial rows in global trial
-// order — the shape a cluster coordinator concatenates across shards.
+// order.
 func trialRows(req JobRequest, agg *harness.Aggregate) []TrialRow {
 	rows := make([]TrialRow, req.Trials)
 	for i := range rows {

@@ -171,15 +171,8 @@ func (m *Manager) Ready() (bool, string) {
 	return false, "recovering"
 }
 
-// ReadyResponse is the body of GET /readyz. On a cluster coordinator it
-// also reports worker liveness: a coordinator with no live workers and
-// local degradation disabled is not ready, because every submission would
-// fail.
+// ReadyResponse is the body of GET /readyz.
 type ReadyResponse struct {
 	Status string `json:"status"` // "ready" or the not-ready reason
 	Schema string `json:"schema"`
-	// WorkersLive/WorkersDead are set only on coordinators (see
-	// WithClusterReadiness).
-	WorkersLive *int `json:"workersLive,omitempty"`
-	WorkersDead *int `json:"workersDead,omitempty"`
 }

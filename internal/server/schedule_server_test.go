@@ -303,6 +303,10 @@ func TestScheduleThroughput(t *testing.T) {
 	elapsed := time.Since(start)
 	rate := float64(calls) / elapsed.Seconds()
 	t.Logf("schedule throughput: %.0f calls/sec (%d calls in %v)", rate, calls, elapsed)
+	if raceEnabled {
+		// CI enforces the floor in a separate non-race step.
+		return
+	}
 	if rate < 1000 {
 		t.Errorf("throughput = %.0f calls/sec, want ≥ 1000", rate)
 	}

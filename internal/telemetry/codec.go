@@ -1,19 +1,14 @@
 package telemetry
 
-import (
-	"encoding/json"
-	"fmt"
-	"sort"
-)
+import "fmt"
 
-// Snapshot wire codec: a versioned, self-describing JSON form of a
-// registry's state, built for cluster federation. A worker serializes its
-// registry with Registry.Snapshot, the coordinator decodes it with
-// DecodeSnapshot and folds it into an aggregate with RegistrySnapshot.Merge
-// (pure wire-level merge) or Registry.MergeSnapshot (fold into a live
-// registry). Histogram buckets travel sparse — only occupied buckets are
-// encoded as [index, count] pairs — because the fixed 496-bucket geometry
-// is mostly empty for any single metric.
+// Snapshot codec: a versioned, self-describing form of a registry's
+// state. Registry.Snapshot copies a registry out, Registry.MergeSnapshot
+// folds a snapshot into a live registry (how each job's private registry
+// retires into the daemon's), and the Prometheus exposition renders from
+// it. Histogram buckets are sparse — only occupied buckets are listed as
+// [index, count] pairs — because the fixed 496-bucket geometry is mostly
+// empty for any single metric.
 //
 // The bucket geometry (histSubBits, histBuckets) is part of the schema:
 // changing it requires bumping SnapshotSchema.
@@ -114,7 +109,7 @@ func (h *Histogram) wire() *HistogramWire {
 }
 
 // mergeWire folds a wire histogram into h, bucket by bucket. Callers must
-// have validated bucket indices (DecodeSnapshot does).
+// have validated bucket indices (MergeSnapshot does).
 func (h *Histogram) mergeWire(hw *HistogramWire) {
 	for _, b := range hw.Buckets {
 		h.buckets[b[0]].Add(b[1])
@@ -139,38 +134,6 @@ func (hw *HistogramWire) dense() HistogramSnapshot {
 		}
 	}
 	return s
-}
-
-// clone returns an independent copy.
-func (hw *HistogramWire) clone() *HistogramWire {
-	c := *hw
-	c.Buckets = append([][2]uint64(nil), hw.Buckets...)
-	return &c
-}
-
-// merge folds o into hw at the wire level, keeping buckets in ascending
-// index order.
-func (hw *HistogramWire) merge(o *HistogramWire) {
-	hw.Count += o.Count
-	hw.Sum += o.Sum
-	if o.Max > hw.Max {
-		hw.Max = o.Max
-	}
-	if len(o.Buckets) == 0 {
-		return
-	}
-	m := make(map[uint64]uint64, len(hw.Buckets)+len(o.Buckets))
-	for _, b := range hw.Buckets {
-		m[b[0]] += b[1]
-	}
-	for _, b := range o.Buckets {
-		m[b[0]] += b[1]
-	}
-	hw.Buckets = hw.Buckets[:0]
-	for idx, n := range m {
-		hw.Buckets = append(hw.Buckets, [2]uint64{idx, n})
-	}
-	sort.Slice(hw.Buckets, func(i, j int) bool { return hw.Buckets[i][0] < hw.Buckets[j][0] })
 }
 
 // snapshot returns the family's wire form.
@@ -213,9 +176,8 @@ func (r *Registry) Snapshot() RegistrySnapshot {
 }
 
 // Validate checks schema version, kind/unit vocabulary, name uniqueness,
-// and histogram bucket indices. Snapshots from the network must pass
-// Validate (DecodeSnapshot enforces this) before any merge touches fixed
-// bucket arrays.
+// and histogram bucket indices. MergeSnapshot enforces it before any
+// merge touches fixed bucket arrays.
 func (s RegistrySnapshot) Validate() error {
 	if s.Schema != SnapshotSchema {
 		return fmt.Errorf("telemetry: unsupported snapshot schema %q (want %q)", s.Schema, SnapshotSchema)
@@ -247,126 +209,9 @@ func (s RegistrySnapshot) Validate() error {
 	return nil
 }
 
-// DecodeSnapshot parses and validates a snapshot received off the wire.
-func DecodeSnapshot(data []byte) (RegistrySnapshot, error) {
-	var s RegistrySnapshot
-	if err := json.Unmarshal(data, &s); err != nil {
-		return RegistrySnapshot{}, fmt.Errorf("telemetry: decode snapshot: %w", err)
-	}
-	if err := s.Validate(); err != nil {
-		return RegistrySnapshot{}, err
-	}
-	return s, nil
-}
-
-// cloneFamilySnapshot deep-copies a family so a merged aggregate never
-// aliases its sources.
-func cloneFamilySnapshot(f *FamilySnapshot) FamilySnapshot {
-	c := *f
-	c.Labels = append([]Label(nil), f.Labels...)
-	c.Children = append([]LabeledCount(nil), f.Children...)
-	if f.Counter != nil {
-		v := *f.Counter
-		c.Counter = &v
-	}
-	if f.Gauge != nil {
-		v := *f.Gauge
-		c.Gauge = &v
-	}
-	if f.Hist != nil {
-		c.Hist = f.Hist.clone()
-	}
-	return c
-}
-
-// mergeFamilySnapshot folds src into dst. Merge semantics: counters and
-// unlabeled gauges add; labeled counter children add per label value (new
-// values append in src order); histograms merge bucket-wise with max-of-max.
-// Labeled gauges are identity metrics (build_info): when the constant label
-// sets collide — differ between dst and src — dst's sample is kept
-// unchanged rather than summing values that describe different things.
-// Kind, unit, or label-key disagreement is a schema error.
-func mergeFamilySnapshot(dst, src *FamilySnapshot) error {
-	if dst.Kind != src.Kind {
-		return fmt.Errorf("telemetry: merge %q: kind %q vs %q", dst.Name, dst.Kind, src.Kind)
-	}
-	if dst.Unit != src.Unit {
-		return fmt.Errorf("telemetry: merge %q: unit %q vs %q", dst.Name, dst.Unit, src.Unit)
-	}
-	if dst.LabelKey != src.LabelKey {
-		return fmt.Errorf("telemetry: merge %q: label key %q vs %q", dst.Name, dst.LabelKey, src.LabelKey)
-	}
-	if src.Counter != nil {
-		if dst.Counter == nil {
-			v := *src.Counter
-			dst.Counter = &v
-		} else {
-			*dst.Counter += *src.Counter
-		}
-	}
-	if len(src.Children) > 0 {
-		idx := make(map[string]int, len(dst.Children))
-		for i, c := range dst.Children {
-			idx[c.Value] = i
-		}
-		for _, c := range src.Children {
-			if i, ok := idx[c.Value]; ok {
-				dst.Children[i].Count += c.Count
-			} else {
-				idx[c.Value] = len(dst.Children)
-				dst.Children = append(dst.Children, c)
-			}
-		}
-	}
-	if src.Gauge != nil && labelsEqual(dst.Labels, src.Labels) {
-		if len(dst.Labels) == 0 {
-			if dst.Gauge == nil {
-				v := *src.Gauge
-				dst.Gauge = &v
-			} else {
-				*dst.Gauge += *src.Gauge
-			}
-		} else if dst.Gauge == nil {
-			v := *src.Gauge
-			dst.Gauge = &v
-		}
-	}
-	if src.Hist != nil {
-		if dst.Hist == nil {
-			dst.Hist = src.Hist.clone()
-		} else {
-			dst.Hist.merge(src.Hist)
-		}
-	}
-	return nil
-}
-
-// Merge folds every family of o into s: families absent from s are
-// appended (deep-copied), families present merge per mergeFamilySnapshot.
-// Both snapshots should be quiescent copies; Merge never mutates o.
-func (s *RegistrySnapshot) Merge(o RegistrySnapshot) error {
-	idx := make(map[string]int, len(s.Families))
-	for i := range s.Families {
-		idx[s.Families[i].Name] = i
-	}
-	for i := range o.Families {
-		of := &o.Families[i]
-		j, ok := idx[of.Name]
-		if !ok {
-			idx[of.Name] = len(s.Families)
-			s.Families = append(s.Families, cloneFamilySnapshot(of))
-			continue
-		}
-		if err := mergeFamilySnapshot(&s.Families[j], of); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // resolveForMerge resolves or creates the family a snapshot family folds
 // into, returning an error (never panicking) on schema disagreement so a
-// remote peer's snapshot cannot crash the receiving process.
+// mismatched snapshot cannot crash the process folding it.
 func (r *Registry) resolveForMerge(fs *FamilySnapshot, kind Kind, unit HistUnit) (*family, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -405,8 +250,8 @@ func (r *Registry) resolveForMerge(fs *FamilySnapshot, kind Kind, unit HistUnit)
 	return f, nil
 }
 
-// MergeSnapshot folds a (validated or locally produced) snapshot into the
-// live registry, registering families that don't exist yet. Counters and
+// MergeSnapshot validates a snapshot and folds it into the live
+// registry, registering families that don't exist yet. Counters and
 // unlabeled gauges add, labeled counter children add per value, histograms
 // merge bucket-wise; labeled gauges keep the registry's value when constant
 // labels collide. This is the generic form of the per-metric fold the job

@@ -27,8 +27,8 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeSnapshot(data)
-	if err != nil {
+	var got RegistrySnapshot
+	if err := json.Unmarshal(data, &got); err != nil {
 		t.Fatal(err)
 	}
 
@@ -73,6 +73,9 @@ func TestSnapshotSparseBuckets(t *testing.T) {
 	}
 }
 
+// TestDecodeSnapshotRejectsBadWire decodes malformed snapshots and checks
+// that MergeSnapshot's Validate guard rejects each one before any family
+// reaches the registry.
 func TestDecodeSnapshotRejectsBadWire(t *testing.T) {
 	cases := map[string]string{
 		"wrong schema":        `{"schema":"radiomis.telemetry/v0","families":[]}`,
@@ -81,13 +84,34 @@ func TestDecodeSnapshotRejectsBadWire(t *testing.T) {
 		"empty name":          `{"schema":"radiomis.telemetry/v1","families":[{"name":"","kind":"counter"}]}`,
 		"duplicate family":    `{"schema":"radiomis.telemetry/v1","families":[{"name":"x","kind":"counter"},{"name":"x","kind":"counter"}]}`,
 		"bucket out of range": `{"schema":"radiomis.telemetry/v1","families":[{"name":"x","kind":"histogram","hist":{"count":1,"sum":1,"max":1,"buckets":[[9999,1]]}}]}`,
-		"not json":            `{"schema":`,
 	}
 	for name, wire := range cases {
-		if _, err := DecodeSnapshot([]byte(wire)); err == nil {
-			t.Errorf("%s: decoded without error", name)
+		var s RegistrySnapshot
+		if err := json.Unmarshal([]byte(wire), &s); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		r := New()
+		if err := r.MergeSnapshot(s); err == nil {
+			t.Errorf("%s: merged without error", name)
+		}
+		if n := len(r.Snapshot().Families); n != 0 {
+			t.Errorf("%s: rejected snapshot registered %d families", name, n)
 		}
 	}
+}
+
+// fold merges the registries' snapshots, in order, into a fresh registry
+// through MergeSnapshot — the path a finished job's registry takes into
+// the daemon's — and returns the result's snapshot.
+func fold(t *testing.T, regs ...*Registry) RegistrySnapshot {
+	t.Helper()
+	dst := New()
+	for _, r := range regs {
+		if err := dst.MergeSnapshot(r.Snapshot()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dst.Snapshot()
 }
 
 func TestSnapshotMergeEmptyHistograms(t *testing.T) {
@@ -97,27 +121,15 @@ func TestSnapshotMergeEmptyHistograms(t *testing.T) {
 	b.Histogram("d_seconds", "").Observe(100)
 
 	// empty into occupied
-	sb := b.Snapshot()
-	if err := sb.Merge(a.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	if hw := sb.Families[0].Hist; hw.Count != 1 || hw.Max != 100 {
+	if hw := fold(t, b, a).Families[0].Hist; hw.Count != 1 || hw.Max != 100 {
 		t.Errorf("occupied+empty: count=%d max=%d, want 1, 100", hw.Count, hw.Max)
 	}
 	// occupied into empty
-	sa := a.Snapshot()
-	if err := sa.Merge(b.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	if hw := sa.Families[0].Hist; hw.Count != 1 || hw.Max != 100 {
+	if hw := fold(t, a, b).Families[0].Hist; hw.Count != 1 || hw.Max != 100 {
 		t.Errorf("empty+occupied: count=%d max=%d, want 1, 100", hw.Count, hw.Max)
 	}
 	// empty into empty
-	se := a.Snapshot()
-	if err := se.Merge(a.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	if hw := se.Families[0].Hist; hw.Count != 0 || len(hw.Buckets) != 0 {
+	if hw := fold(t, a, a).Families[0].Hist; hw.Count != 0 || len(hw.Buckets) != 0 {
 		t.Errorf("empty+empty: %+v", hw)
 	}
 }
@@ -130,11 +142,7 @@ func TestSnapshotMergeDisjointBuckets(t *testing.T) {
 	bh.Observe(1 << 20)
 	bh.Observe(1 << 30)
 
-	s := a.Snapshot()
-	if err := s.Merge(b.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	hw := s.Families[0].Hist
+	hw := fold(t, a, b).Families[0].Hist
 	if hw.Count != 3 {
 		t.Errorf("count = %d, want 3", hw.Count)
 	}
@@ -146,13 +154,13 @@ func TestSnapshotMergeDisjointBuckets(t *testing.T) {
 			t.Errorf("buckets not in ascending index order: %v", hw.Buckets)
 		}
 	}
-	// Cross-check against the in-registry merge, which is the ground truth.
+	// Cross-check against one histogram that saw every observation.
 	ref := NewHistogram()
 	ref.Observe(2)
 	ref.Observe(1 << 20)
 	ref.Observe(1 << 30)
 	if want := ref.wire(); hw.Sum != want.Sum || hw.Max != want.Max {
-		t.Errorf("wire merge diverged from Histogram.Merge: %+v vs %+v", hw, want)
+		t.Errorf("snapshot fold diverged from direct observation: %+v vs %+v", hw, want)
 	}
 }
 
@@ -166,10 +174,7 @@ func TestSnapshotMergeCountersAndVecs(t *testing.T) {
 	vb.With("forced").Add(2)
 	vb.With("faults").Add(5)
 
-	s := a.Snapshot()
-	if err := s.Merge(b.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
+	s := fold(t, a, b)
 	var jobs, fallback *FamilySnapshot
 	for i := range s.Families {
 		switch s.Families[i].Name {
@@ -202,11 +207,7 @@ func TestSnapshotMergeLabelSetCollision(t *testing.T) {
 
 	// Colliding constant labels: the receiver's identity sample survives
 	// unchanged — summing build_info across versions would be meaningless.
-	s := a.Snapshot()
-	if err := s.Merge(b.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	f := s.Families[0]
+	f := fold(t, a, b).Families[0]
 	if f.Gauge == nil || *f.Gauge != 1 {
 		t.Errorf("gauge = %v, want 1", f.Gauge)
 	}
@@ -215,13 +216,11 @@ func TestSnapshotMergeLabelSetCollision(t *testing.T) {
 	}
 
 	// Identical labels: still an identity, value stays 1, no doubling.
-	s2 := a.Snapshot()
-	if err := s2.Merge(a.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
 	r := New()
-	if err := r.MergeSnapshot(s2); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ {
+		if err := r.MergeSnapshot(a.Snapshot()); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if g := r.LabeledGauge("build_info", "", Label{Key: "version", Value: "v1"}); g.Value() != 1 {
 		t.Errorf("identity gauge after merge = %d, want 1", g.Value())
@@ -233,9 +232,12 @@ func TestSnapshotMergeKindMismatchErrors(t *testing.T) {
 	a.Counter("x", "")
 	b := New()
 	b.Gauge("x", "")
-	s := a.Snapshot()
-	if err := s.Merge(b.Snapshot()); err == nil {
-		t.Error("merging counter into gauge did not error")
+	dst := New()
+	if err := dst.MergeSnapshot(a.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.MergeSnapshot(b.Snapshot()); err == nil {
+		t.Error("merging gauge into counter did not error")
 	}
 	r := New()
 	r.Gauge("x", "")
@@ -267,52 +269,6 @@ func TestMergeSnapshotRegistersMissingFamilies(t *testing.T) {
 	}
 	if h.Count() != 2 || c.Value() != 18 {
 		t.Errorf("second fold: hist=%d counter=%d, want 2, 18", h.Count(), c.Value())
-	}
-}
-
-func TestWriteFederatedPrometheus(t *testing.T) {
-	local := New()
-	local.Counter("radiomisd_cluster_fanouts_total", "fanouts").Add(2)
-
-	w1 := New()
-	w1.Histogram("radiomis_trial_duration_seconds", "trial wall time").Observe(1_000_000)
-	w1.Counter("radiomis_trials_total", "trials").Add(3)
-	w2 := New()
-	h2 := w2.Histogram("radiomis_trial_duration_seconds", "trial wall time")
-	h2.Observe(2_000_000)
-	h2.Observe(3_000_000)
-	w2.Counter("radiomis_trials_total", "trials").Add(5)
-
-	var b strings.Builder
-	err := WriteFederatedPrometheus(&b, local.Snapshot(), []WorkerSnapshot{
-		{Worker: "http://w1:8381", Snap: w1.Snapshot()},
-		{Worker: "http://w2:8382", Snap: w2.Snapshot()},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-
-	for _, want := range []string{
-		`radiomisd_cluster_fanouts_total 2`,
-		`radiomis_trials_total{worker="http://w1:8381"} 3`,
-		`radiomis_trials_total{worker="http://w2:8382"} 5`,
-		`radiomis_trials_total{worker="cluster"} 8`,
-		`radiomis_trial_duration_seconds_count{worker="cluster"} 3`,
-		`radiomis_trial_duration_seconds_bucket{worker="cluster",le="+Inf"} 3`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("federated exposition missing %q:\n%s", want, out)
-		}
-	}
-	// Exactly one TYPE header per family, even though three sources
-	// contribute samples.
-	if n := strings.Count(out, "# TYPE radiomis_trial_duration_seconds histogram"); n != 1 {
-		t.Errorf("trial-duration TYPE header appears %d times, want 1", n)
-	}
-	// Aggregate sum equals the sum of the worker sums.
-	if !strings.Contains(out, `radiomis_trial_duration_seconds_sum{worker="cluster"} 0.006`) {
-		t.Errorf("aggregate _sum missing or wrong:\n%s", out)
 	}
 }
 

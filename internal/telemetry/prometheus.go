@@ -35,107 +35,14 @@ var countBounds = []float64{
 // cumulative `le` buckets, `_sum`, and `_count`, matching the Prometheus
 // histogram convention.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	return WriteSnapshotPrometheus(w, r.Snapshot())
-}
-
-// WriteSnapshotPrometheus renders a snapshot (local or decoded off the
-// wire) in the Prometheus text exposition format.
-func WriteSnapshotPrometheus(w io.Writer, s RegistrySnapshot) error {
+	s := r.Snapshot()
 	for i := range s.Families {
 		f := &s.Families[i]
 		if err := writeFamilyHeader(w, f); err != nil {
 			return err
 		}
-		if err := writeFamilySamples(w, f, nil); err != nil {
+		if err := writeFamilySamples(w, f); err != nil {
 			return err
-		}
-	}
-	return nil
-}
-
-// WorkerSnapshot pairs a federated peer's identity (its base URL) with its
-// decoded telemetry snapshot.
-type WorkerSnapshot struct {
-	Worker string
-	Snap   RegistrySnapshot
-}
-
-// WriteFederatedPrometheus renders a coordinator's fleet view as one valid
-// exposition: for every family (local registration order first, then
-// worker-only families in worker order) a single header is followed by the
-// coordinator's own unlabeled samples, each worker's samples labeled
-// `worker="<url>"`, and — when any workers are present — the merged
-// aggregate labeled `worker="cluster"`. One header per family is a format
-// requirement, which is why this is a combined writer rather than
-// concatenated per-source expositions. Worker families whose kind or
-// schema disagrees with the first-seen definition are skipped rather than
-// corrupting the exposition.
-func WriteFederatedPrometheus(w io.Writer, local RegistrySnapshot, workers []WorkerSnapshot) error {
-	var order []string
-	reps := make(map[string]*FamilySnapshot)
-	note := func(f *FamilySnapshot) {
-		if _, ok := reps[f.Name]; !ok {
-			reps[f.Name] = f
-			order = append(order, f.Name)
-		}
-	}
-	localIdx := make(map[string]*FamilySnapshot, len(local.Families))
-	for i := range local.Families {
-		f := &local.Families[i]
-		note(f)
-		localIdx[f.Name] = f
-	}
-	workerIdx := make([]map[string]*FamilySnapshot, len(workers))
-	for wi := range workers {
-		idx := make(map[string]*FamilySnapshot, len(workers[wi].Snap.Families))
-		for i := range workers[wi].Snap.Families {
-			f := &workers[wi].Snap.Families[i]
-			note(f)
-			idx[f.Name] = f
-		}
-		workerIdx[wi] = idx
-	}
-
-	// Cluster aggregate: wire-level merge across workers, tolerant of
-	// individually incompatible families (skipped, like their samples).
-	agg := make(map[string]*FamilySnapshot)
-	for wi := range workers {
-		for i := range workers[wi].Snap.Families {
-			f := &workers[wi].Snap.Families[i]
-			if a, ok := agg[f.Name]; ok {
-				if err := mergeFamilySnapshot(a, f); err != nil {
-					continue
-				}
-			} else {
-				c := cloneFamilySnapshot(f)
-				agg[f.Name] = &c
-			}
-		}
-	}
-
-	for _, name := range order {
-		rep := reps[name]
-		if err := writeFamilyHeader(w, rep); err != nil {
-			return err
-		}
-		if f, ok := localIdx[name]; ok {
-			if err := writeFamilySamples(w, f, nil); err != nil {
-				return err
-			}
-		}
-		for wi := range workers {
-			f, ok := workerIdx[wi][name]
-			if !ok || f.Kind != rep.Kind || f.Unit != rep.Unit {
-				continue
-			}
-			if err := writeFamilySamples(w, f, []Label{{Key: "worker", Value: workers[wi].Worker}}); err != nil {
-				return err
-			}
-		}
-		if f, ok := agg[name]; ok && len(workers) > 0 && f.Kind == rep.Kind && f.Unit == rep.Unit {
-			if err := writeFamilySamples(w, f, []Label{{Key: "worker", Value: "cluster"}}); err != nil {
-				return err
-			}
 		}
 	}
 	return nil
@@ -151,9 +58,8 @@ func writeFamilyHeader(w io.Writer, f *FamilySnapshot) error {
 	return err
 }
 
-// writeFamilySamples renders one source's samples of a family, prefixing
-// every sample's label set with extra (the federation `worker` label).
-func writeFamilySamples(w io.Writer, f *FamilySnapshot, extra []Label) error {
+// writeFamilySamples renders a family's samples.
+func writeFamilySamples(w io.Writer, f *FamilySnapshot) error {
 	kind, err := parseKind(f.Kind)
 	if err != nil {
 		return err
@@ -162,7 +68,7 @@ func writeFamilySamples(w io.Writer, f *FamilySnapshot, extra []Label) error {
 	case KindCounter:
 		if f.LabelKey != "" {
 			for _, c := range f.Children {
-				labels := append(append([]Label(nil), extra...), Label{Key: f.LabelKey, Value: c.Value})
+				labels := []Label{{Key: f.LabelKey, Value: c.Value}}
 				if _, err := fmt.Fprintf(w, "%s%s %d\n", f.Name, labelString(labels), c.Count); err != nil {
 					return err
 				}
@@ -173,15 +79,14 @@ func writeFamilySamples(w io.Writer, f *FamilySnapshot, extra []Label) error {
 		if f.Counter != nil {
 			v = *f.Counter
 		}
-		_, err := fmt.Fprintf(w, "%s%s %d\n", f.Name, labelString(extra), v)
+		_, err := fmt.Fprintf(w, "%s %d\n", f.Name, v)
 		return err
 	case KindGauge:
 		v := int64(0)
 		if f.Gauge != nil {
 			v = *f.Gauge
 		}
-		labels := append(append([]Label(nil), extra...), f.Labels...)
-		_, err := fmt.Fprintf(w, "%s%s %d\n", f.Name, labelString(labels), v)
+		_, err := fmt.Fprintf(w, "%s%s %d\n", f.Name, labelString(f.Labels), v)
 		return err
 	case KindHistogram:
 		unit, err := parseUnit(f.Unit)
@@ -192,12 +97,12 @@ func writeFamilySamples(w io.Writer, f *FamilySnapshot, extra []Label) error {
 		if hw == nil {
 			hw = &HistogramWire{}
 		}
-		return writeHistogram(w, f.Name, unit, hw.dense(), extra)
+		return writeHistogram(w, f.Name, unit, hw.dense())
 	}
 	return nil
 }
 
-func writeHistogram(w io.Writer, name string, unit HistUnit, s HistogramSnapshot, extra []Label) error {
+func writeHistogram(w io.Writer, name string, unit HistUnit, s HistogramSnapshot) error {
 	// Duration histograms store nanoseconds and expose seconds; count
 	// histograms store and expose the raw values.
 	bounds, scale := expositionBounds, 1e9
@@ -206,19 +111,17 @@ func writeHistogram(w io.Writer, name string, unit HistUnit, s HistogramSnapshot
 	}
 	for _, bound := range bounds {
 		cum := s.CumulativeAtOrBelow(uint64(bound * scale))
-		labels := append(append([]Label(nil), extra...), Label{Key: "le", Value: formatBound(bound)})
-		if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", name, labelString(labels), cum); err != nil {
+		if _, err := fmt.Fprintf(w, "%s_bucket{le=\"%s\"} %d\n", name, formatBound(bound), cum); err != nil {
 			return err
 		}
 	}
-	labels := append(append([]Label(nil), extra...), Label{Key: "le", Value: "+Inf"})
-	if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", name, labelString(labels), s.Count); err != nil {
+	if _, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, s.Count); err != nil {
 		return err
 	}
-	if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", name, labelString(extra), formatFloat(float64(s.Sum)/scale)); err != nil {
+	if _, err := fmt.Fprintf(w, "%s_sum %s\n", name, formatFloat(float64(s.Sum)/scale)); err != nil {
 		return err
 	}
-	_, err := fmt.Fprintf(w, "%s_count%s %d\n", name, labelString(extra), s.Count)
+	_, err := fmt.Fprintf(w, "%s_count %d\n", name, s.Count)
 	return err
 }
 

@@ -16,8 +16,8 @@
 // a 128-bit TraceID shared by its whole tree and a 64-bit SpanID of its
 // own; the parent link is a SpanID within the same trace. A SpanContext
 // (TraceID, SpanID) is the wire-portable reference that crosses process
-// boundaries as a W3C traceparent header — the hook radiomisd cluster
-// mode needs to reassemble a fanned-out sweep into one timeline.
+// boundaries as a W3C traceparent header, so a caller's trace continues
+// into radiomisd's spans.
 //
 // Finished spans land in a lock-free bounded ring (newest wins) that
 // backs the daemon's /debug/traces endpoint and the exporters. All Tracer
@@ -248,26 +248,6 @@ func (t *Tracer) Emit(parent SpanContext, name string, start, end time.Time, att
 	sp := t.StartSpan(parent, name, start, attrs...)
 	sp.EndAt(end)
 	return sp.Context()
-}
-
-// ImportSpan publishes an already-finished span reconstructed from
-// another process's export into this tracer's ring — the receiving half
-// of cluster trace stitching, where a coordinator pulls a worker's
-// /debug/traces and grafts the remote spans into its own tree. The span
-// must carry its remote identity (Trace, ID, and usually Parent) and a
-// non-zero EndTime; it reports whether the span was accepted. Callers are
-// responsible for de-duplicating re-imports (the ring itself never is —
-// it retains whatever it is given).
-func (t *Tracer) ImportSpan(sp *Span) bool {
-	if sp == nil || sp.Trace.IsZero() || sp.ID.IsZero() || sp.EndTime.IsZero() {
-		return false
-	}
-	if !sp.ended.CompareAndSwap(false, true) {
-		return false
-	}
-	sp.tracer = t
-	t.ring.add(sp)
-	return true
 }
 
 // Spans returns the finished spans currently retained, oldest first. The

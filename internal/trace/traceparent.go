@@ -9,9 +9,9 @@ import "encoding/hex"
 //	version "-" trace-id "-" parent-id "-" trace-flags
 //	   00   - 32 lowercase hex - 16 lowercase hex -  2 hex
 //
-// radiomisd extracts an inbound header so a coordinator's trace ID
-// becomes the root of the daemon-side span tree, and injects the header
-// on responses (and, in cluster mode, on fan-out requests to workers).
+// radiomisd extracts an inbound header so the caller's trace ID becomes
+// the root of the daemon-side span tree, and injects the header on
+// responses.
 
 // TraceparentHeader is the canonical header name.
 const TraceparentHeader = "traceparent"
@@ -76,20 +76,6 @@ func ParseTraceID(s string) (TraceID, bool) {
 	hex.Decode(id[:], []byte(s))
 	if id.IsZero() {
 		return TraceID{}, false
-	}
-	return id, true
-}
-
-// ParseSpanID parses a 16-digit lowercase hex span ID, rejecting the
-// invalid all-zero ID.
-func ParseSpanID(s string) (SpanID, bool) {
-	var id SpanID
-	if len(s) != 16 || !isHex(s) {
-		return SpanID{}, false
-	}
-	hex.Decode(id[:], []byte(s))
-	if id.IsZero() {
-		return SpanID{}, false
 	}
 	return id, true
 }

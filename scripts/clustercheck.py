@@ -1,33 +1,15 @@
 #!/usr/bin/env python3
-"""Submit a radiomisd job and validate cluster-mode result parity.
+"""Submit a radiomisd solve job and compare job results byte for byte.
 
 `run BASE` submits one solve job to the daemon at BASE (host:port or full
 URL), polls it to completion, and prints the job's `result` object as
-canonical JSON (sorted keys, no whitespace) on stdout. Run it once
-against a coordinator and once against a plain single-node daemon, at the
-same seed, and the two outputs must be byte-identical — the coordinator's
-merge contract.
+canonical JSON (sorted keys, no whitespace) on stdout. The engine is
+deterministic per seed, so two runs of the same request print identical
+bytes wherever they execute: on a fresh daemon, or replayed from a WAL
+after a crash.
 
 `compare A.json B.json` asserts exactly that: the two files parse to
 equal JSON. On mismatch it prints the first differing path and exits 1.
-
-`status BASE` fetches GET /v1/cluster and prints it; with
-`--min-stolen N` it additionally asserts at least N shards were stolen
-(the CI smoke test kills a worker mid-job and proves the steal happened).
-
-`federation COORD --workers W1,W2` asserts the coordinator's federated
-telemetry is the true merge of its workers: for the given metric family
-(default the trial-duration histogram), the merged count in the
-coordinator's /v1/cluster federation section must equal the sum of the
-counts the workers themselves report on /v1/telemetry, and the
-coordinator's /metrics exposition must carry per-worker samples plus the
-worker="cluster" aggregate. Retries until --timeout to ride out the
-federation poll interval.
-
-`shardstream BASE` submits a solve job and follows its /events stream,
-asserting the coordinator re-emits worker shard progress with attribution:
-every shard must report running before done, and with `--min-workers N`
-the events must name at least N distinct workers.
 
 Exit status: 0 on success, 1 on any failure. Stdlib only.
 """
@@ -133,152 +115,6 @@ def cmd_compare(args):
     return 1
 
 
-def cmd_status(args):
-    base = base_url(args.base)
-    st = get_json(base + "/v1/cluster")
-    print(json.dumps(st, indent=2))
-    if args.min_stolen is not None and st.get("shardsStolen", 0) < args.min_stolen:
-        print(
-            f"shardsStolen = {st.get('shardsStolen', 0)}, want >= {args.min_stolen}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def family_count(snapshot, name):
-    """Observation count of family `name` in a telemetry snapshot: the
-    histogram count, the counter value, or the sum of a vec's children."""
-    for fam in snapshot.get("families", []):
-        if fam.get("name") != name:
-            continue
-        if fam.get("hist") is not None:
-            return fam["hist"].get("count", 0)
-        if fam.get("counter") is not None:
-            return fam["counter"]
-        if fam.get("children"):
-            return sum(ch.get("count", 0) for ch in fam["children"])
-    return 0
-
-
-def cmd_federation(args):
-    coord = base_url(args.base)
-    workers = [base_url(w) for w in args.workers.split(",") if w.strip()]
-    if not workers:
-        print("federation: --workers is required", file=sys.stderr)
-        return 1
-
-    deadline = time.monotonic() + args.timeout
-    last = None
-    while time.monotonic() < deadline:
-        want = sum(family_count(get_json(w + "/v1/telemetry"), args.family) for w in workers)
-        fed = get_json(coord + "/v1/cluster").get("federation")
-        merged = (fed or {}).get("merged")
-        got = family_count(merged or {}, args.family)
-        last = f"merged {args.family} count = {got}, workers sum = {want}"
-        if fed is None:
-            last = "no federation section in /v1/cluster (is -federate-interval set?)"
-        elif want > 0 and got == want:
-            break
-        time.sleep(0.5)
-    else:
-        print(f"federation never converged: {last}", file=sys.stderr)
-        return 1
-    print(f"federation: {last}")
-
-    # The federated exposition must attribute every worker and aggregate
-    # the fleet under worker="cluster".
-    with urllib.request.urlopen(coord + "/metrics", timeout=10) as resp:
-        metrics = resp.read().decode()
-    ok = True
-    for label in workers + ["cluster"]:
-        needle = f'worker="{label}"'
-        if needle not in metrics:
-            print(f"/metrics has no samples with {needle}", file=sys.stderr)
-            ok = False
-    for line in metrics.splitlines():
-        if line.startswith(args.family) and 'worker="cluster"' in line and line.endswith(f" {want}"):
-            break
-    else:
-        print(
-            f"/metrics lacks a {args.family} worker=\"cluster\" sample with value {want}",
-            file=sys.stderr,
-        )
-        ok = False
-    if ok:
-        print(f"federation: /metrics carries per-worker and cluster-aggregate samples")
-    return 0 if ok else 1
-
-
-def cmd_shardstream(args):
-    base = base_url(args.base)
-    payload = {
-        "kind": "solve",
-        "algorithm": args.algorithm,
-        "n": args.n,
-        "trials": args.trials,
-        "seed": args.seed,
-    }
-    st = post_json(base + "/v1/jobs", payload)
-    job_id = st["id"]
-    print(f"submitted {job_id} to {base}", file=sys.stderr)
-
-    shard_events = []
-    terminal = None
-    with urllib.request.urlopen(
-        f"{base}/v1/jobs/{job_id}/events", timeout=args.timeout
-    ) as resp:
-        for raw in resp:
-            ev = json.loads(raw)
-            if ev.get("ev") == "shard":
-                shard_events.append(ev)
-            if ev.get("ev") == "state" and ev.get("state") in ("done", "failed", "canceled"):
-                terminal = ev["state"]
-                break
-    if terminal != "done":
-        print(f"job {job_id} ended {terminal}", file=sys.stderr)
-        return 1
-    if not shard_events:
-        print("no shard events on the stream — is this a coordinator?", file=sys.stderr)
-        return 1
-
-    workers = {ev.get("worker") for ev in shard_events} - {"coordinator"}
-    ran, done = set(), set()
-    progress = 0
-    for i, ev in enumerate(shard_events):
-        sh = ev.get("shard")
-        state = ev.get("state", "")
-        if state == "running":
-            ran.add(sh)
-        elif state == "done":
-            if sh not in ran:
-                print(f"shard {sh} reported done before running", file=sys.stderr)
-                return 1
-            done.add(sh)
-        elif state == "" and ev.get("stage"):
-            progress += 1
-    trials_done = sum(
-        ev.get("trials", 0) for ev in shard_events if ev.get("state") == "done"
-    )
-    if trials_done != args.trials:
-        print(
-            f"done shards cover {trials_done} trials, want {args.trials}", file=sys.stderr
-        )
-        return 1
-    if len(workers) < args.min_workers:
-        print(
-            f"shard events name {len(workers)} workers ({sorted(workers)}), "
-            f"want >= {args.min_workers}",
-            file=sys.stderr,
-        )
-        return 1
-    print(
-        f"shardstream: {len(shard_events)} shard events, {len(done)} shards done "
-        f"across {len(workers)} workers, {progress} attributed progress lines"
-    )
-    return 0
-
-
 def main():
     p = argparse.ArgumentParser(description=__doc__)
     sub = p.add_subparsers(dest="cmd", required=True)
@@ -296,32 +132,6 @@ def main():
     cmp_.add_argument("a")
     cmp_.add_argument("b")
     cmp_.set_defaults(fn=cmd_compare)
-
-    status = sub.add_parser("status", help="print /v1/cluster, optionally assert steals")
-    status.add_argument("base")
-    status.add_argument("--min-stolen", type=int, default=None)
-    status.set_defaults(fn=cmd_status)
-
-    fed = sub.add_parser(
-        "federation", help="assert federated telemetry equals the merge of the workers"
-    )
-    fed.add_argument("base", help="coordinator URL")
-    fed.add_argument("--workers", required=True, help="comma-separated worker URLs")
-    fed.add_argument("--family", default="radiomis_trial_duration_seconds")
-    fed.add_argument("--timeout", type=float, default=30)
-    fed.set_defaults(fn=cmd_federation)
-
-    stream = sub.add_parser(
-        "shardstream", help="submit a job and assert attributed shard events on /events"
-    )
-    stream.add_argument("base", help="coordinator URL")
-    stream.add_argument("--algorithm", default="cd")
-    stream.add_argument("--n", type=int, default=2000)
-    stream.add_argument("--trials", type=int, default=24)
-    stream.add_argument("--seed", type=int, default=11)
-    stream.add_argument("--min-workers", type=int, default=1)
-    stream.add_argument("--timeout", type=float, default=300)
-    stream.set_defaults(fn=cmd_shardstream)
 
     args = p.parse_args()
     try:
