@@ -53,6 +53,65 @@ func (g *Graph) AddEdge(u, v int) error {
 	return nil
 }
 
+// FromEdges returns the graph on n vertices with the given edges. The
+// result, or the first error, is that of New(n) followed by one AddEdge per
+// edge in order: every row lists its neighbours in edge order, which
+// order-sensitive consumers (the linear MIS breaks ties by neighbour
+// order) depend on. It counts degrees first and carves all rows out of one
+// backing array instead of growing each row edge by edge. A list with a
+// bad edge is rebuilt one AddEdge at a time, which names the first one.
+func FromEdges(n int, edges [][2]int) (*Graph, error) {
+	g := New(n)
+	deg := make([]int, g.n)
+	for _, e := range edges {
+		u, v := e[0], e[1]
+		if u < 0 || u >= g.n || v < 0 || v >= g.n || u == v {
+			return addEach(g, edges)
+		}
+		deg[u]++
+		deg[v]++
+	}
+	nbr := make([]int, 2*len(edges))
+	off := 0
+	for v, d := range deg {
+		if d > 0 {
+			// The full slice expression caps each row, so a later AddEdge
+			// reallocates it rather than writing into the next row.
+			g.adj[v] = nbr[off : off : off+d]
+			off += d
+		}
+	}
+	for _, e := range edges {
+		u, v := e[0], e[1]
+		g.adj[u] = append(g.adj[u], v)
+		g.adj[v] = append(g.adj[v], u)
+	}
+	// A repeated edge shows as a repeated neighbour in a row.
+	mark := deg
+	clear(mark)
+	for v, row := range g.adj {
+		for _, w := range row {
+			if mark[w] == v+1 {
+				return addEach(New(n), edges)
+			}
+			mark[w] = v + 1
+		}
+	}
+	g.edges = len(edges)
+	return g, nil
+}
+
+// addEach adds edges to g one AddEdge at a time and stops at the first
+// error.
+func addEach(g *Graph, edges [][2]int) (*Graph, error) {
+	for _, e := range edges {
+		if err := g.AddEdge(e[0], e[1]); err != nil {
+			return nil, err
+		}
+	}
+	return g, nil
+}
+
 // mustAddEdge is used by generators whose construction cannot produce
 // invalid edges; an error here is a generator bug.
 func (g *Graph) mustAddEdge(u, v int) {

@@ -25,8 +25,9 @@ const maxLayerRetries = 4
 // BenchmarkSolveBatch guards in CI.
 //
 // A Planner is not safe for concurrent use; use one per serving goroutine
-// (the daemon keeps them in a sync.Pool). Radio-algorithm layers run on a
-// lazily created radio.Pool owned by the planner; Close releases it.
+// (the daemon keeps idle ones on a free list capped at maxIdlePlanners).
+// Radio-algorithm layers run on a lazily created radio.Pool owned by the
+// planner; Close releases it.
 type Planner struct {
 	csr     graph.CSR
 	view    graph.View

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"strings"
@@ -220,10 +221,12 @@ func handleSubmit(m *Manager, w http.ResponseWriter, r *http.Request) {
 // of small-graph calls per second, where the job machinery's bookkeeping
 // would dominate the planning work.
 func handleSchedule(m *Manager, w http.ResponseWriter, r *http.Request) {
+	body, err := io.ReadAll(r.Body)
 	var req ScheduleRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err == nil {
+		req, err = decodeScheduleRequest(body)
+	}
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}

@@ -3,9 +3,11 @@ package server
 import (
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
+	"hash"
+	"io"
 	"strings"
 	"sync"
 	"time"
@@ -64,30 +66,53 @@ func (r *ScheduleRequest) Normalize() error {
 	return err
 }
 
-// Key returns the canonical cache key: the hex SHA-256 of the normalized
-// request's JSON encoding. Call Normalize first.
+// Key returns the canonical cache key: the hex SHA-256 of an injective
+// binary encoding of the normalized request — algorithm and family, each
+// prefixed with its length, then n, seed, the edge count and every edge
+// endpoint as varints. Absent and empty edge lists share a key. Call
+// Normalize first. The plan cache lives only in memory, so the encoding
+// may change between versions.
 func (r ScheduleRequest) Key() string {
-	b, err := json.Marshal(r)
-	if err != nil {
-		// A ScheduleRequest of scalars and int pairs cannot fail to marshal.
-		panic(fmt.Sprintf("server: marshal schedule request: %v", err))
+	h := sha256.New()
+	var buf [512]byte
+	b := appendKeyString(h, buf[:0], r.Algorithm)
+	b = appendKeyString(h, b, r.Family)
+	b = binary.AppendVarint(b, int64(r.N))
+	b = binary.AppendUvarint(b, r.Seed)
+	b = binary.AppendUvarint(b, uint64(len(r.Edges)))
+	for _, e := range r.Edges {
+		if len(b) > len(buf)-2*binary.MaxVarintLen64 {
+			h.Write(b)
+			b = b[:0]
+		}
+		b = binary.AppendVarint(b, int64(e[0]))
+		b = binary.AppendVarint(b, int64(e[1]))
 	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
+	h.Write(b)
+	var sum [sha256.Size]byte
+	return hex.EncodeToString(h.Sum(sum[:0]))
+}
+
+// appendKeyString appends s with its length prefix to the key encoding b,
+// writing b and s straight to h when s does not fit in b's spare capacity.
+func appendKeyString(h hash.Hash, b []byte, s string) []byte {
+	b = binary.AppendUvarint(b, uint64(len(s)))
+	if len(s) > cap(b)-len(b) {
+		h.Write(b)
+		io.WriteString(h, s)
+		return b[:0]
+	}
+	return append(b, s...)
 }
 
 // buildGraph materializes the request's conflict graph. Explicit edge
-// lists are validated (range, self-loops, duplicates); generated graphs
-// come from the family generator at the request seed.
+// lists are validated (range, self-loops, duplicates) and inserted in
+// request order, which fixes every vertex's neighbour order and so the
+// plan; generated graphs come from the family generator at the request
+// seed.
 func (r *ScheduleRequest) buildGraph() (*graph.Graph, error) {
 	if len(r.Edges) > 0 {
-		g := graph.New(r.N)
-		for _, e := range r.Edges {
-			if err := g.AddEdge(e[0], e[1]); err != nil {
-				return nil, err
-			}
-		}
-		return g, nil
+		return graph.FromEdges(r.N, r.Edges)
 	}
 	fam, err := graph.ParseFamily(r.Family)
 	if err != nil {

@@ -13,7 +13,9 @@ import (
 	"time"
 
 	"radiomis/internal/graph"
+	"radiomis/internal/mis"
 	"radiomis/internal/rng"
+	"radiomis/internal/schedule"
 )
 
 func postSchedule(t *testing.T, ts *httptest.Server, body string) (*ScheduleResult, *http.Response) {
@@ -122,6 +124,42 @@ func TestScheduleExplicitEdges(t *testing.T) {
 	}
 }
 
+// TestScheduleKeepsEdgeOrder checks that an explicit graph is planned with
+// its edges in request order: the linear MIS breaks ties by neighbour
+// order, so sorting the edges would change plans. Each shuffled request
+// must plan exactly as a graph built by New plus AddEdge in that order.
+func TestScheduleKeepsEdgeOrder(t *testing.T) {
+	m, _ := newTestServer(t, Options{Workers: 1})
+	r := rng.New(5)
+	const n = 256 // at n = 64, sorting the edges changed only 1 of 8 plans
+	for seed := uint64(0); seed < 4; seed++ {
+		edges := graph.Generate(graph.FamilyGNP, n, rng.New(seed)).Edges()
+		r.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+		for i := range edges {
+			if r.Intn(2) == 0 {
+				edges[i][0], edges[i][1] = edges[i][1], edges[i][0]
+			}
+		}
+		res, err := m.Schedule(context.Background(), ScheduleRequest{N: n, Edges: edges, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := graph.New(n)
+		for _, e := range edges {
+			if err := g.AddEdge(e[0], e[1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		plan, err := schedule.NewPlanner().Batches(g, schedule.Options{Algorithm: "linear", Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !equalBatches(res.Batches, plan.Batches()) {
+			t.Errorf("seed %d: plan differs from the plan of the edges in request order", seed)
+		}
+	}
+}
+
 // TestScheduleCacheHit checks that an identical resubmission replays from
 // the plan cache with Cached set and the same batches.
 func TestScheduleCacheHit(t *testing.T) {
@@ -180,24 +218,48 @@ func TestScheduleRadioAlgorithm(t *testing.T) {
 	checkPlanAgainst(t, g, res.Batches)
 }
 
-// TestScheduleBadRequests checks the 400 surface: malformed JSON, unknown
-// fields, bad algorithm/family, non-positive n, and invalid edge lists.
+// scheduleBadRequests is the 400 surface of POST /v1/schedule, each body
+// with its full error message: malformed JSON, unknown fields, bad
+// algorithm/family, non-positive n, and invalid edge lists, where the first
+// bad edge in request order is the one reported.
+var scheduleBadRequests = []struct{ name, body, msg string }{
+	{"malformed", `{"n": `, "decoding request: unexpected EOF"},
+	{"unknown field", `{"n": 8, "bogus": 1}`, `decoding request: json: unknown field "bogus"`},
+	{"bad algorithm", `{"algorithm": "quantum", "n": 8}`, `server: invalid job request: unknown algorithm "quantum" (known: ` +
+		strings.Join(mis.Algorithms(), ", ") + `; see GET /v1/algorithms)`},
+	{"bad family", `{"family": "moebius", "n": 8}`, `server: invalid job request: graph: unknown family "moebius"`},
+	{"zero n", `{"family": "gnp", "n": 0}`, "server: invalid job request: n = 0, want ≥ 1"},
+	{"edge range", `{"n": 2, "edges": [[0,5]]}`, "server: invalid job request: graph: edge {0,5} out of range [0,2)"},
+	{"self loop", `{"n": 2, "edges": [[1,1]]}`, "server: invalid job request: graph: self-loop at 1"},
+	{"duplicate edge", `{"n": 2, "edges": [[0,1],[1,0]]}`, "server: invalid job request: graph: duplicate edge {1,0}"},
+	{"duplicate before range", `{"n":3,"edges":[[0,1],[1,0],[0,9]]}`, "server: invalid job request: graph: duplicate edge {1,0}"},
+	{"range before duplicate", `{"n":3,"edges":[[0,9],[0,1],[1,0]]}`, "server: invalid job request: graph: edge {0,9} out of range [0,3)"},
+	{"fraction", `{"n": 1.0}`, "decoding request: json: cannot unmarshal number 1.0 into Go struct field ScheduleRequest.n of type int"},
+	{"negative seed", `{"n": 8, "seed": -1}`, "decoding request: json: cannot unmarshal number -1 into Go struct field ScheduleRequest.seed of type uint64"},
+	{"seed overflow", `{"n": 8, "seed": 18446744073709551616}`,
+		"decoding request: json: cannot unmarshal number 18446744073709551616 into Go struct field ScheduleRequest.seed of type uint64"},
+	{"empty body", ``, "decoding request: EOF"},
+}
+
+// TestScheduleBadRequests checks that every scheduleBadRequests body gets
+// a 400 with its message.
 func TestScheduleBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1})
-	cases := map[string]string{
-		"malformed":      `{"n": `,
-		"unknown field":  `{"n": 8, "bogus": 1}`,
-		"bad algorithm":  `{"algorithm": "quantum", "n": 8}`,
-		"bad family":     `{"family": "moebius", "n": 8}`,
-		"zero n":         `{"family": "gnp", "n": 0}`,
-		"edge range":     `{"n": 2, "edges": [[0,5]]}`,
-		"self loop":      `{"n": 2, "edges": [[1,1]]}`,
-		"duplicate edge": `{"n": 2, "edges": [[0,1],[1,0]]}`,
-	}
-	for name, body := range cases {
-		_, resp := postSchedule(t, ts, body)
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status = %d, want 400", name, resp.StatusCode)
+	for _, tc := range scheduleBadRequests {
+		resp, err := http.Post(ts.URL+"/v1/schedule", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e struct{ Error string }
+		err = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		switch {
+		case resp.StatusCode != http.StatusBadRequest:
+			t.Errorf("%s: status = %d, want 400", tc.name, resp.StatusCode)
+		case err != nil:
+			t.Errorf("%s: decoding error response: %v", tc.name, err)
+		case e.Error != tc.msg:
+			t.Errorf("%s: error = %q, want %q", tc.name, e.Error, tc.msg)
 		}
 	}
 }
@@ -253,6 +315,25 @@ func TestScheduleNormalizeCanonicalizes(t *testing.T) {
 	}
 	if c.Family != "" {
 		t.Errorf("explicit-edge request kept family %q after Normalize", c.Family)
+	}
+	// Endpoints are hashed as integers, not as their concatenated digits.
+	d := ScheduleRequest{N: 24, Edges: [][2]int{{1, 23}}}
+	e := ScheduleRequest{N: 24, Edges: [][2]int{{12, 3}}}
+	for _, r := range []*ScheduleRequest{&d, &e} {
+		if err := r.Normalize(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if d.Key() == e.Key() {
+		t.Error("edge lists [[1,23]] and [[12,3]] share a key")
+	}
+	// Absent and empty edge lists both mean a generated graph.
+	f := ScheduleRequest{N: 16, Seed: 9, Edges: [][2]int{}}
+	if err := f.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	if f.Key() != a.Key() {
+		t.Error("empty and absent edge lists hash to different keys")
 	}
 }
 
