@@ -27,16 +27,14 @@ import (
 // the head is the node's due mask, and the next head is the round the
 // node re-enters the round scheduler at. Transmitters, listeners and
 // one-round sleepers share one next-round event; longer sleepers are
-// grouped by wake round, one insertion per distinct round. A lane killed
-// by an error only leaves the alive mask; its events still queued at
-// other nodes are dropped when they reach a list's head.
+// grouped by wake round, one insertion per distinct round.
 //
 // Determinism contract: lane l of RunLockstep(g, cfg, lp, seeds) produces
 // a Result bit-identical to the scalar Run(g, cfg′, program) with
 // cfg′.Seed = seeds[l], where program is the scalar twin of lp. The
 // lockstep parity tests enforce this per lane across the scalar parity
-// matrix (clean, wake staggering, unary violations, round caps, pooled
-// reruns, ragged lane counts). Divergent control flow — faults,
+// matrix (clean, wake staggering, round caps, pooled reruns, ragged lane
+// counts). Divergent control flow — faults,
 // crash-restart, observers, tracers — is out of scope by design: those
 // runs fall back to the scalar engine (see mis.RunMany), keeping this
 // loop free of per-lane branching.
@@ -48,16 +46,14 @@ const MaxLanes = 64
 // LaneActions is the out-parameter of LaneProgram.Step: the actions of
 // one node's due lanes this round. Transmit, Listen, and Halt are lane
 // masks; every due lane not claimed by one of them sleeps for its
-// Sleep[lane] rounds (which must be ≥ 1 — the scalar engine's Sleep(0)
-// no-op never reaches the scheduler, so a lane with nothing to do simply
-// does not schedule an action; a zero is clamped to 1 to keep a buggy
-// program from freezing the round clock).
+// Sleep[lane] rounds, which must be ≥ 1: the scalar engine's Sleep(0) is
+// a no-op that never reaches the scheduler, so a program always has a
+// real next action to give. The engine zeroes each Sleep entry it reads,
+// so a due lane the program left without an action reads 0, and the
+// batch fails with an error naming the node, the round and the lanes.
+// Every transmission is the unary bit 1.
 //
 // Output[lane] is the program's return value for halting lanes.
-// Payload[lane] (with HasPayload set) optionally carries a transmit
-// payload for UnaryOnly checking; when HasPayload is false all
-// transmissions are the unary bit 1. Lane payloads do not reach
-// receivers: lane programs are heard-only by contract (see LaneProgram).
 type LaneActions struct {
 	Transmit uint64
 	Listen   uint64
@@ -65,9 +61,6 @@ type LaneActions struct {
 
 	Sleep  [MaxLanes]uint64
 	Output [MaxLanes]int64
-
-	Payload    [MaxLanes]uint64
-	HasPayload bool
 }
 
 // LaneProgram is a node program compiled to a lane state machine. One
@@ -112,8 +105,7 @@ type LockstepBatch struct {
 	// a scalar run.
 	Results []*Result
 	// Errs holds the lane's terminal error, nil for lanes that ran to
-	// completion. Lane errors match the scalar engine's: ErrNotUnary for
-	// UnaryOnly violations (lowest offending node wins), ErrMaxRounds
+	// completion. Lane errors match the scalar engine's: ErrMaxRounds
 	// when the lane's next event would be at or past the round cap,
 	// ErrAborted (wrapping the context cause) on cancellation.
 	Errs []error
@@ -125,7 +117,6 @@ type LockstepBatch struct {
 type lockstep struct {
 	csr       *graph.CSR
 	model     Model
-	unaryOnly bool
 	ctx       context.Context
 	done      <-chan struct{}
 	maxRounds uint64
@@ -166,15 +157,10 @@ type lockstep struct {
 
 	act LaneActions
 
-	aliveMask  uint64 // lanes still running; dead lanes' queued events are dropped lazily
+	aliveMask  uint64 // lanes with a node still running
 	laneActive []int32
 	laneRounds []uint64
 	laneErrs   []error
-
-	// First unary violation per lane this round (valid where errMask set).
-	errMask    uint64
-	errNode    [MaxLanes]int32
-	errPayload [MaxLanes]uint64
 
 	round uint64
 }
@@ -182,12 +168,14 @@ type lockstep struct {
 // RunLockstep simulates len(seeds) lanes of lp on g under cfg. Lane l is
 // the trial with seed seeds[l]; at most MaxLanes seeds per call. The
 // batch-level error reports setup problems (bad model, too many seeds,
-// WakeRound mismatch, unsupported Config fields); per-lane simulation
-// errors land in LockstepBatch.Errs.
+// WakeRound mismatch, unsupported Config fields) and a lane program that
+// left a due lane without an action; per-lane simulation errors land in
+// LockstepBatch.Errs.
 //
 // Supported Config fields: Model, Ctx (cancellation + Pool lookup), Seed
 // is ignored (seeds come per lane), MaxRounds, WakeRound (shared by all
-// lanes), UnaryOnly. Observer and Faults are scalar-engine features —
+// lanes), UnaryOnly (it holds by construction: a lane transmits only the
+// unary bit). Observer and Faults are scalar-engine features —
 // configuring them is an error, not a silent no-op; Perf and Shards are
 // ignored (the lockstep coordinator is single-threaded: its parallelism is
 // the lanes).
@@ -246,7 +234,7 @@ func (p *Pool) runLockstep(g *graph.Graph, cfg *Config, lp LaneProgram, lanes in
 func (ls *lockstep) bind(g *graph.Graph, csr *graph.CSR, cfg *Config, lanes int, maxRounds uint64) {
 	n := g.N()
 	ls.csr = csr
-	ls.model, ls.unaryOnly = cfg.Model, cfg.UnaryOnly
+	ls.model = cfg.Model
 	ls.ctx = cfg.Ctx
 	ls.done = nil
 	if cfg.Ctx != nil {
@@ -256,7 +244,6 @@ func (ls *lockstep) bind(g *graph.Graph, csr *graph.CSR, cfg *Config, lanes int,
 	ls.lanes = lanes
 	ls.n = n
 	ls.round = 0
-	ls.errMask = 0
 
 	if lanes == MaxLanes {
 		ls.aliveMask = ^uint64(0)
@@ -352,7 +339,9 @@ func (ls *lockstep) run(lp LaneProgram) (*LockstepBatch, error) {
 			break
 		}
 		ls.round = r
-		ls.stepRound(r, lp)
+		if err := ls.stepRound(r, lp); err != nil {
+			return nil, err
+		}
 	}
 	return ls.results(), nil
 }
@@ -370,8 +359,8 @@ func (ls *lockstep) nextRound() (uint64, bool) {
 
 // beginRound materializes the due node set for round r by merging the
 // next-round bucket with heap events landing on r; both are ascending by
-// id, so cur comes out ascending — the order that makes lowest-node-wins
-// error semantics match the scalar engine.
+// id, so cur comes out ascending, and so does the next-round bucket that
+// stepping cur refills.
 func (ls *lockstep) beginRound(r uint64) {
 	ls.cur = ls.cur[:0]
 	ni := 0
@@ -388,19 +377,13 @@ func (ls *lockstep) beginRound(r uint64) {
 }
 
 // reschedule re-enters node v into the round scheduler at its list's head
-// round, first dropping head events whose lanes have all died; a node
-// with no live event left retires.
+// round; a node with no event left retires.
 func (ls *lockstep) reschedule(v int32, r uint64) {
-	base := int(v) * MaxLanes
 	c := int(ls.evLen[v])
-	for c > 0 && ls.events[base+c-1].lanes&ls.aliveMask == 0 {
-		c--
-	}
-	ls.evLen[v] = uint8(c)
 	if c == 0 {
 		return
 	}
-	if m := ls.events[base+c-1].round; m == r+1 {
+	if m := ls.events[int(v)*MaxLanes+c-1].round; m == r+1 {
 		ls.next = append(ls.next, v)
 	} else {
 		ls.heap.push(event{round: m, id: int(v)})
@@ -429,14 +412,14 @@ func (ls *lockstep) insert(v int32, w, lanes uint64) {
 }
 
 // stepRound advances all lanes one round: step each due node's lane
-// program, apply the returned lane actions (unary checks, energy, halts,
-// next-event scheduling), kill lanes that errored, then resolve reception
-// for all listener lanes by carry-save accumulation.
-func (ls *lockstep) stepRound(r uint64, lp LaneProgram) {
+// program, apply the returned lane actions (energy, halts, next-event
+// scheduling), then resolve reception for all listener lanes by
+// carry-save accumulation. It fails when the program left a due lane
+// without an action.
+func (ls *lockstep) stepRound(r uint64, lp LaneProgram) error {
 	ls.beginRound(r)
 	ls.txNodes = ls.txNodes[:0]
 	ls.lsNodes = ls.lsNodes[:0]
-	ls.errMask = 0
 	act := &ls.act
 
 	var finished uint64
@@ -444,34 +427,15 @@ func (ls *lockstep) stepRound(r uint64, lp LaneProgram) {
 		// The node was queued at its head round, r: pop the head.
 		base := int(v) * MaxLanes
 		ls.evLen[v]--
-		dueM := ls.events[base+int(ls.evLen[v])].lanes & ls.aliveMask
-		if dueM == 0 {
-			// Stale event: the lanes that scheduled it died since.
-			ls.reschedule(v, r)
-			continue
-		}
+		dueM := ls.events[base+int(ls.evLen[v])].lanes
 
 		act.Transmit, act.Listen, act.Halt = 0, 0, 0
-		act.HasPayload = false
 		lp.Step(int(v), dueM, ls.heard[v], act)
 
 		tx := act.Transmit & dueM
 		lsn := act.Listen & dueM &^ tx
 		hl := act.Halt & dueM &^ (tx | lsn)
 		sl := dueM &^ (tx | lsn | hl)
-
-		if ls.unaryOnly && act.HasPayload && tx != 0 {
-			// Record the first (lowest-node) violation per lane; cur is
-			// ascending, so first-seen is lowest, like the scalar merge.
-			for m := tx &^ ls.errMask; m != 0; m &= m - 1 {
-				l := bits.TrailingZeros64(m)
-				if act.Payload[l] != 1 {
-					ls.errMask |= 1 << l
-					ls.errNode[l] = v
-					ls.errPayload[l] = act.Payload[l]
-				}
-			}
-		}
 
 		if tx != 0 {
 			ls.txMask[v] = tx
@@ -485,18 +449,26 @@ func (ls *lockstep) stepRound(r uint64, lp LaneProgram) {
 			ls.energy[base+bits.TrailingZeros64(m)]++
 		}
 
-		// Transmitters, listeners and one-round sleepers (a zero sleep is
-		// clamped to one) act next round; longer sleepers are grouped by
-		// wake round, one insertion per distinct round.
+		// Transmitters, listeners and one-round sleepers act next round;
+		// longer sleepers are grouped by wake round, one insertion per
+		// distinct round. Each Sleep entry read is zeroed, so a lane the
+		// program gave no action reads 0.
 		soon := tx | lsn
-		var far uint64
+		var far, none uint64
 		for m := sl; m != 0; m &= m - 1 {
 			l := bits.TrailingZeros64(m)
-			if act.Sleep[l] <= 1 {
+			switch act.Sleep[l] {
+			case 0:
+				none |= 1 << l
+			case 1:
 				soon |= 1 << l
-			} else {
+				act.Sleep[l] = 0
+			default:
 				far |= 1 << l
 			}
+		}
+		if none != 0 {
+			return noActionError(v, r, none)
 		}
 		for far != 0 {
 			k := act.Sleep[bits.TrailingZeros64(far)]
@@ -504,6 +476,7 @@ func (ls *lockstep) stepRound(r uint64, lp LaneProgram) {
 			for m := far; m != 0; m &= m - 1 {
 				if l := bits.TrailingZeros64(m); act.Sleep[l] == k {
 					group |= 1 << l
+					act.Sleep[l] = 0
 				}
 			}
 			far &^= group
@@ -517,35 +490,17 @@ func (ls *lockstep) stepRound(r uint64, lp LaneProgram) {
 			l := bits.TrailingZeros64(m)
 			i := l*ls.n + int(v)
 			ls.outs[i] = act.Output[l]
-			// Scalar semantics in an erroring round: halts of nodes below
-			// the offender are observed, those at or above are not (their
-			// Outputs entry is still set). Ascending order makes "error
-			// already recorded" equivalent to "offender id ≤ this node".
-			if ls.errMask>>l&1 == 0 {
-				ls.haltR[i] = r
-				if ls.laneActive[l]--; ls.laneActive[l] == 0 {
-					finished |= 1 << l
-				}
+			ls.haltR[i] = r
+			if ls.laneActive[l]--; ls.laneActive[l] == 0 {
+				finished |= 1 << l
 			}
 		}
 		ls.reschedule(v, r)
 	}
 
-	if ls.errMask != 0 {
-		// Killing a lane only clears its alive bit: its events queued at
-		// other nodes are filtered out of due masks and dropped when they
-		// reach a list's head.
-		for m := ls.errMask & ls.aliveMask; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros64(m)
-			ls.laneErrs[l] = fmt.Errorf("%w: node %d sent %#x", ErrNotUnary, ls.errNode[l], ls.errPayload[l])
-		}
-		ls.aliveMask &^= ls.errMask
-	}
-
 	// Per-lane round accounting and reception, mirroring the scalar
 	// fastRound: a lane's Rounds advances only in rounds where it had a
-	// transmitter or listener, and an erroring lane's final round never
-	// counts (the scalar run aborts before the update).
+	// transmitter or listener.
 	var activeOr uint64
 	for _, v := range ls.txNodes {
 		activeOr |= ls.txMask[v]
@@ -553,9 +508,8 @@ func (ls *lockstep) stepRound(r uint64, lp LaneProgram) {
 	for _, v := range ls.lsNodes {
 		activeOr |= ls.lsMask[v]
 	}
-	activeOr &= ls.aliveMask
 	if activeOr != 0 {
-		ls.receive(r)
+		ls.receive()
 		for m := activeOr; m != 0; m &= m - 1 {
 			ls.laneRounds[bits.TrailingZeros64(m)] = r + 1
 		}
@@ -568,6 +522,17 @@ func (ls *lockstep) stepRound(r uint64, lp LaneProgram) {
 	}
 
 	ls.aliveMask &^= finished
+	return nil
+}
+
+// noActionError reports the lanes of node v that the lane program left
+// without an action in round r.
+func noActionError(v int32, r, lanes uint64) error {
+	var ids []int
+	for m := lanes; m != 0; m &= m - 1 {
+		ids = append(ids, bits.TrailingZeros64(m))
+	}
+	return fmt.Errorf("radio: lane program left lanes %v of node %d without an action in round %d", ids, v, r)
 }
 
 // receive resolves reception for every listener lane of the round. For
@@ -577,14 +542,11 @@ func (ls *lockstep) stepRound(r uint64, lp LaneProgram) {
 // heard bit per model: CD and beeping hear any non-silent channel
 // (ones); no-CD hears exactly-one transmitter (ones &^ twos) — a
 // collision is indistinguishable from silence.
-func (ls *lockstep) receive(r uint64) {
+func (ls *lockstep) receive() {
 	csr, txMask := ls.csr, ls.txMask
 	noCD := ls.model == ModelNoCD
 	for _, v := range ls.lsNodes {
-		L := ls.lsMask[v] & ls.aliveMask
-		if L == 0 {
-			continue
-		}
+		L := ls.lsMask[v]
 		var ones, twos uint64
 		for _, w := range csr.Neighbors(int(v)) {
 			t := txMask[w]

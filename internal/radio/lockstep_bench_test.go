@@ -14,10 +14,11 @@ import (
 // profile on G(n, 8/n) — with 64 trials per op, one per lane. The lane
 // program (benchLaneProgram, lockstep_parity_test.go) is the bit-exact
 // twin of benchProgram, so trials/s here divides directly against the
-// scalar engine's: CI (scripts/benchdiff.py --lockstep) enforces the
-// ISSUE 9 floor of ≥5× pooled scalar throughput and warns below the 10×
-// target. rounds/op (mean rounds per trial) is the drift guard: any
-// change means simulation behavior changed, not just timing.
+// scalar engines': CI (scripts/benchdiff.py --lockstep) enforces a floor
+// over BenchmarkRun/reference from the same run and prints the ratio
+// over the pooled scalar engine. rounds/op (mean rounds per trial) is the
+// drift guard: any change means simulation behavior changed, not just
+// timing.
 func BenchmarkRunLockstep(b *testing.B) {
 	for _, n := range []int{1024, 4096} {
 		g := graph.GNP(n, 8.0/float64(n), rand.New(rand.NewSource(4096)))

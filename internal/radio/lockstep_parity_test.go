@@ -17,7 +17,7 @@ import (
 // of RunLockstep must be bit-identical — Result (halt rounds included),
 // error — to a scalar Run of the lane program's scalar twin at the lane's
 // seed, across the scalar parity matrix (graphs, models, wake staggering,
-// unary violations, round caps, pooled reruns, ragged lane counts).
+// round caps, pooled reruns, ragged lane counts).
 
 // lanePair is a lane program plus its scalar twin; the pair contract is
 // that lane l under RunLockstep behaves exactly like the scalar program
@@ -433,104 +433,6 @@ func TestLockstepParityWakeRound(t *testing.T) {
 	}
 }
 
-// unaryLaneProgram (and its scalar twin) violates unary encoding from
-// node 41 in the lanes whose first draw is odd, so one batch mixes dying
-// lanes (ErrNotUnary, node 41) with lanes that complete — the per-lane
-// fallback-free divergence case. Nodes below 41 halt in round 0 and must
-// still be observed in dying lanes; nodes above transmit and pay energy.
-func unaryScalarProgram(env *Env) int64 {
-	if env.ID() == 41 {
-		if env.Rand().Int63()&1 == 1 {
-			env.Transmit(99)
-		} else {
-			env.TransmitBit()
-		}
-		return 7
-	}
-	if env.ID() < 41 {
-		return 1
-	}
-	env.TransmitBit()
-	return 0
-}
-
-type unaryLaneProgram struct {
-	n     int
-	seeds []uint64
-	step2 []uint64 // lanes per node that already did their round-0 action
-}
-
-func (p *unaryLaneProgram) Bind(n int, seeds []uint64) {
-	p.n = n
-	p.seeds = seeds
-	if cap(p.step2) < n {
-		p.step2 = make([]uint64, n)
-	}
-	p.step2 = p.step2[:n]
-	clear(p.step2)
-}
-
-func (p *unaryLaneProgram) Step(node int, due, heard uint64, act *LaneActions) {
-	if node < 41 {
-		act.Halt = due
-		for m := due; m != 0; m &= m - 1 {
-			act.Output[bits.TrailingZeros64(m)] = 1
-		}
-		return
-	}
-	first := due &^ p.step2[node]
-	second := due & p.step2[node]
-	p.step2[node] |= due
-	act.Transmit = first
-	act.Halt = second
-	var haltOut int64
-	if node == 41 {
-		haltOut = 7
-	}
-	for m := second; m != 0; m &= m - 1 {
-		act.Output[bits.TrailingZeros64(m)] = haltOut
-	}
-	if node == 41 {
-		act.HasPayload = true
-		for m := first; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros64(m)
-			_, out := rng.SplitMix64(rng.Mix(p.seeds[l], uint64(node)))
-			if (out>>1)&1 == 1 {
-				act.Payload[l] = 99
-			} else {
-				act.Payload[l] = 1
-			}
-		}
-	}
-}
-
-func TestLockstepParityUnaryViolation(t *testing.T) {
-	g := graph.Complete(80)
-	pair := lanePair{scalar: unaryScalarProgram, lane: func() LaneProgram { return &unaryLaneProgram{} }}
-	seeds := laneSeeds(64, 41)
-	runBothLockstep(t, g, Config{Model: ModelCD, UnaryOnly: true}, pair, seeds)
-
-	// Sanity: the batch really does mix dying and surviving lanes.
-	batch, err := RunLockstep(g, Config{Model: ModelCD, UnaryOnly: true}, &unaryLaneProgram{}, seeds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	died, lived := 0, 0
-	for _, lerr := range batch.Errs {
-		if lerr != nil {
-			if !errors.Is(lerr, ErrNotUnary) {
-				t.Fatalf("lane error = %v, want ErrNotUnary", lerr)
-			}
-			died++
-		} else {
-			lived++
-		}
-	}
-	if died == 0 || lived == 0 {
-		t.Fatalf("want a mixed batch, got %d dead / %d live lanes", died, lived)
-	}
-}
-
 // spinScalarProgram makes node 0 listen forever in lanes where its first
 // draw is odd and halt after one listen otherwise (other nodes always
 // halt after one listen), so a capped batch mixes ErrMaxRounds lanes with
@@ -663,233 +565,67 @@ func TestLockstepEventListFull(t *testing.T) {
 	}
 }
 
-// starUnaryProgram, run on a star centered on node 0, kills lanes while
-// their events are still queued at the leaves. The center's coin decides
-// a lane's fate. On even, it transmits a unary bit in round 0 and halts;
-// the leaves, listening in round 0, hear it and halt too. On odd, it
-// stays silent, sleeps 1–32 rounds and sends a non-unary payload, which
-// under UnaryOnly kills the lane at a staggered round; the leaves hear
-// silence and sleep 1–64 rounds before a last listen, so the lane dies
-// with leaf events queued, and the run ends before the latest are
-// reached.
-func starUnaryProgram(env *Env) int64 {
-	if env.ID() == 0 {
-		if env.Rand().Int63()&1 == 0 {
-			env.TransmitBit()
-			return 1
+// noActionLaneProgram listens with every lane of every node in round 0.
+// In round 1 node 0 sleeps all its lanes for 5 rounds, and node 1, stepped
+// next, sleeps lanes l%3 ≠ 0 for 1 round and gives lanes l%3 = 0 no
+// action at all; every later step halts. Node 0 leaves Sleep[l] = 5 in the
+// shared LaneActions, which node 1's actionless lanes would read if the
+// engine did not zero what it reads.
+type noActionLaneProgram struct {
+	steps []uint8
+}
+
+func (p *noActionLaneProgram) Bind(n int, seeds []uint64) {
+	p.steps = make([]uint8, n)
+}
+
+func (p *noActionLaneProgram) Step(node int, due, heard uint64, act *LaneActions) {
+	step := p.steps[node]
+	p.steps[node]++
+	switch {
+	case step == 0:
+		act.Listen = due
+	case step == 1 && node == 0:
+		for m := due; m != 0; m &= m - 1 {
+			act.Sleep[bits.TrailingZeros64(m)] = 5
 		}
-		env.Sleep(uint64(env.Rand().Int63()&31) + 1)
-		env.Transmit(99)
-		return 2
-	}
-	if env.Listen().Kind != Silence {
-		return 1
-	}
-	env.Sleep(uint64(env.Rand().Int63()&63) + 1)
-	env.Listen()
-	return 2
-}
-
-// Stages of starUnaryLaneProgram, in the order a dying lane passes them.
-const (
-	starStStart   = iota // center: coin; leaf: listen
-	starStDecide         // center: send 99; leaf: halt on heard, else sleep
-	starStListen         // leaf: last listen
-	starStHalt           // halt with output 2
-	starStHaltWon        // halt with output 1 (the lane survives)
-)
-
-type starUnaryLaneProgram struct {
-	rng []uint64
-	st  []uint8
-}
-
-func (p *starUnaryLaneProgram) Bind(n int, seeds []uint64) {
-	p.rng = make([]uint64, n*MaxLanes)
-	p.st = make([]uint8, n*MaxLanes)
-	for v := 0; v < n; v++ {
-		for l, seed := range seeds {
-			p.rng[v*MaxLanes+l] = rng.Mix(seed, uint64(v))
-		}
-	}
-}
-
-func (p *starUnaryLaneProgram) Step(node int, due, heard uint64, act *LaneActions) {
-	base := node * MaxLanes
-	for m := due; m != 0; m &= m - 1 {
-		l := bits.TrailingZeros64(m)
-		bit := uint64(1) << l
-		st, r := &p.st[base+l], &p.rng[base+l]
-		var out uint64
-		switch {
-		case *st == starStStart && node == 0:
-			act.HasPayload = true
-			if *r, out = rng.SplitMix64(*r); (out>>1)&1 == 0 {
-				act.Transmit |= bit
-				act.Payload[l] = 1
-				*st = starStHaltWon
-				continue
+	case step == 1 && node == 1:
+		for m := due; m != 0; m &= m - 1 {
+			if l := bits.TrailingZeros64(m); l%3 != 0 {
+				act.Sleep[l] = 1
 			}
-			*r, out = rng.SplitMix64(*r)
-			act.Sleep[l] = (out>>1)&31 + 1
-			*st = starStDecide
-		case *st == starStStart:
-			act.Listen |= bit
-			*st = starStDecide
-		case *st == starStDecide && node == 0:
-			act.HasPayload = true
-			act.Transmit |= bit
-			act.Payload[l] = 99
-			*st = starStHalt
-		case *st == starStDecide:
-			if heard&bit != 0 {
-				act.Halt |= bit
-				act.Output[l] = 1
-				continue
-			}
-			*r, out = rng.SplitMix64(*r)
-			act.Sleep[l] = (out>>1)&63 + 1
-			*st = starStListen
-		case *st == starStListen:
-			act.Listen |= bit
-			*st = starStHalt
-		case *st == starStHalt:
-			act.Halt |= bit
-			act.Output[l] = 2
-		case *st == starStHaltWon:
-			act.Halt |= bit
-			act.Output[l] = 1
 		}
+	default:
+		act.Halt = due
 	}
 }
 
-// TestLockstepDeadLaneEventsDoNotLeak runs a UnaryOnly batch whose lanes
-// die with events still queued at other nodes, then a second batch on the
-// same Pool: the second must equal a pool-less run, so no event of the
-// first batch leaks into it.
-func TestLockstepDeadLaneEventsDoNotLeak(t *testing.T) {
-	g := graph.Star(40)
-	pair := lanePair{scalar: starUnaryProgram, lane: func() LaneProgram { return &starUnaryLaneProgram{} }}
-	dying := Config{Model: ModelCD, UnaryOnly: true}
-	seeds := laneSeeds(MaxLanes, 0xdead)
-	runBothLockstep(t, g, dying, pair, seeds)
-
-	pool := NewPool(1)
-	defer pool.Close()
-	pooled := func(cfg Config) Config {
-		cfg.Ctx = WithPool(context.Background(), pool)
-		return cfg
-	}
-	first, err := RunLockstep(g, pooled(dying), pair.lane(), seeds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	died := 0
-	for _, lerr := range first.Errs {
-		if errors.Is(lerr, ErrNotUnary) {
-			died++
-		}
-	}
-	queued := 0
-	for _, c := range pool.lk.evLen {
-		queued += int(c)
-	}
-	if died == 0 || died == MaxLanes || queued == 0 {
-		t.Fatalf("want a mixed batch that leaves dead lanes' events queued, got %d/%d dead lanes, %d queued events",
-			died, MaxLanes, queued)
-	}
-
-	// The second batch runs without UnaryOnly, so every lane completes
-	// and the whole batch can be compared.
-	clean := Config{Model: ModelCD}
-	seeds2 := laneSeeds(MaxLanes, 0xbeef)
-	want, err := RunLockstep(g, clean, pair.lane(), seeds2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := RunLockstep(g, pooled(clean), pair.lane(), seeds2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("second pooled batch diverges from a pool-less run\n got: %+v\nwant: %+v", got, want)
-	}
-	runBothLockstep(t, g, clean, pair, seeds2)
-}
-
-// clampLaneProgram returns Sleep 0, Sleep 1 and Sleep 5 for lanes l%3 =
-// 0, 1, 2 of the same Step, then listens once and halts. It records the
-// due mask of each node's second step.
-type clampLaneProgram struct {
-	steps  []uint8
-	second [][]uint64 // per node, the due masks its second steps came in
-}
-
-func (p *clampLaneProgram) Bind(n int, seeds []uint64) {
-	p.steps = make([]uint8, n*MaxLanes)
-	p.second = make([][]uint64, n)
-}
-
-func (p *clampLaneProgram) Step(node int, due, heard uint64, act *LaneActions) {
-	var second uint64
-	for m := due; m != 0; m &= m - 1 {
-		l := bits.TrailingZeros64(m)
-		switch p.steps[node*MaxLanes+l] {
-		case 0:
-			act.Sleep[l] = [3]uint64{0, 1, 5}[l%3]
-		case 1:
-			second |= 1 << l
-			act.Listen |= 1 << l
-		default:
-			act.Halt |= 1 << l
-		}
-		p.steps[node*MaxLanes+l]++
-	}
-	if second != 0 {
-		p.second[node] = append(p.second[node], second)
-	}
-}
-
-// TestLockstepSleepZeroClamp pins the LaneActions promise that a zero
-// sleep is clamped to one: the run finishes, and Sleep-0 lanes are stepped
-// in the next round together with the Sleep-1 lanes, in one due mask.
+// TestLockstepSleepZeroClamp pins the rule for a due lane that its lane
+// program left without an action: RunLockstep fails in that round with an
+// error naming the node, the round and the lanes, on a fresh engine and
+// on a pooled one, instead of sleeping the lane for a stale Sleep entry
+// until the round cap.
 func TestLockstepSleepZeroClamp(t *testing.T) {
 	g := graph.Cycle(10)
-	lp := &clampLaneProgram{}
-	batch, err := RunLockstep(g, Config{Model: ModelCD, MaxRounds: 100}, lp, laneSeeds(MaxLanes, 1))
-	if err != nil {
-		t.Fatal(err)
+	var lanes []int
+	for l := 0; l < MaxLanes; l += 3 {
+		lanes = append(lanes, l)
 	}
-	var short, long uint64 // lanes that slept 0 or 1 rounds, and 5 rounds
-	for l := 0; l < MaxLanes; l++ {
-		if l%3 == 2 {
-			long |= 1 << l
-		} else {
-			short |= 1 << l
+	want := fmt.Sprintf("radio: lane program left lanes %v of node 1 without an action in round 1", lanes)
+	pool := NewPool(1)
+	defer pool.Close()
+	for _, ctx := range []context.Context{context.Background(), WithPool(context.Background(), pool)} {
+		batch, err := RunLockstep(g, Config{Model: ModelCD, Ctx: ctx}, &noActionLaneProgram{}, laneSeeds(MaxLanes, 1))
+		if err == nil || err.Error() != want {
+			t.Fatalf("err = %v, want %q", err, want)
 		}
-	}
-	for l := 0; l < MaxLanes; l++ {
-		if batch.Errs[l] != nil {
-			t.Fatalf("lane %d: %v", l, batch.Errs[l])
-		}
-		listen := uint64(1) // the round of the lane's listen
-		if l%3 == 2 {
-			listen = 5
-		}
-		if got := batch.Results[l].Rounds; got != listen+1 {
-			t.Fatalf("lane %d: Rounds = %d, want %d", l, got, listen+1)
-		}
-		for v, hr := range batch.Results[l].HaltRound {
-			if hr != listen+1 {
-				t.Fatalf("lane %d node %d: halt round = %d, want %d", l, v, hr, listen+1)
-			}
+		if batch != nil {
+			t.Fatalf("failed batch returned results: %+v", batch)
 		}
 	}
-	for v, masks := range lp.second {
-		if !reflect.DeepEqual(masks, []uint64{short, long}) {
-			t.Fatalf("node %d: second-step due masks = %#x, want [%#x %#x]", v, masks, short, long)
-		}
-	}
+	// The pool serves a correct program after the failed batch.
+	pair := lockstepPairs()["bench"]
+	runBothLockstep(t, g, Config{Model: ModelCD, Ctx: WithPool(context.Background(), pool)}, pair, laneSeeds(MaxLanes, 2))
 }
 
 func TestLockstepCancellation(t *testing.T) {

@@ -730,11 +730,11 @@ func (m *Manager) run(j *Job) {
 
 func (m *Manager) finish(j *Job, res *JobResult, err error) {
 	// Fold the job's private trial telemetry into the daemon registry —
-	// generically, via the snapshot codec, so any family the harness or
-	// engine recorded (trial timings, lane occupancy, fallback reasons)
-	// retires into GET /metrics without per-metric plumbing here.
+	// generically, family by family, so any family the harness or engine
+	// recorded (trial timings, lane occupancy, fallback reasons) retires
+	// into GET /metrics without per-metric plumbing here.
 	if j.reg != nil {
-		if merr := m.reg.MergeSnapshot(j.reg.Snapshot()); merr != nil {
+		if merr := m.reg.Merge(j.reg); merr != nil {
 			m.opts.Logger.Warn("job telemetry fold failed", j.logArgs("error", merr.Error())...)
 		}
 		j.reg = nil

@@ -154,3 +154,45 @@ func TestConcurrentMergeSnapshot(t *testing.T) {
 		t.Fatalf("final max = %d, want %d", max, workers*perW-1)
 	}
 }
+
+// TestConcurrentRegistryMerge folds job-shaped registries into one
+// registry from several goroutines while another renders it, as
+// radiomisd's job workers and /metrics scrapes do (run under -race). The
+// quiescent result must hold the exact totals.
+func TestConcurrentRegistryMerge(t *testing.T) {
+	const jobs = 8
+	dst := New()
+	var wg sync.WaitGroup
+	for w := 0; w < jobs; w++ {
+		wg.Add(2)
+		go func(w int) {
+			defer wg.Done()
+			job := New()
+			job.Counter("trials_total", "").Add(3)
+			job.CounterVec("fallback_total", "", "reason").With([]string{"faults", "forced"}[w%2]).Inc()
+			job.Histogram("trial_seconds", "").Observe(uint64(w))
+			if err := dst.Merge(job); err != nil {
+				t.Error(err)
+			}
+		}(w)
+		go func() {
+			defer wg.Done()
+			var sb strings.Builder
+			if err := dst.WritePrometheus(&sb); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if c, _ := dst.LookupCounter("trials_total"); c.Value() != 3*jobs {
+		t.Errorf("trials_total = %d, want %d", c.Value(), 3*jobs)
+	}
+	if h, _ := dst.LookupHistogram("trial_seconds"); h.Count() != jobs || h.Max() != jobs-1 {
+		t.Errorf("trial_seconds count=%d max=%d, want %d, %d", h.Count(), h.Max(), jobs, jobs-1)
+	}
+	for _, c := range dst.families["fallback_total"].childSnapshot() {
+		if c.count != jobs/2 {
+			t.Errorf("fallback_total{reason=%q} = %d, want %d", c.value, c.count, jobs/2)
+		}
+	}
+}

@@ -35,71 +35,41 @@ var countBounds = []float64{
 // cumulative `le` buckets, `_sum`, and `_count`, matching the Prometheus
 // histogram convention.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	s := r.Snapshot()
-	for i := range s.Families {
-		f := &s.Families[i]
-		if err := writeFamilyHeader(w, f); err != nil {
-			return err
-		}
-		if err := writeFamilySamples(w, f); err != nil {
+	for _, f := range r.snapshotFamilies() {
+		if err := f.writePrometheus(w); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func writeFamilyHeader(w io.Writer, f *FamilySnapshot) error {
-	if f.Help != "" {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n", f.Name, escapeHelp(f.Help)); err != nil {
+// writePrometheus renders one family's header and samples.
+func (f *family) writePrometheus(w io.Writer) error {
+	if f.help != "" {
+		if _, err := fmt.Fprintf(w, "# HELP %s %s\n", f.name, escapeHelp(f.help)); err != nil {
 			return err
 		}
 	}
-	_, err := fmt.Fprintf(w, "# TYPE %s %s\n", f.Name, f.Kind)
-	return err
-}
-
-// writeFamilySamples renders a family's samples.
-func writeFamilySamples(w io.Writer, f *FamilySnapshot) error {
-	kind, err := parseKind(f.Kind)
-	if err != nil {
+	if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.kind); err != nil {
 		return err
 	}
-	switch kind {
-	case KindCounter:
-		if f.LabelKey != "" {
-			for _, c := range f.Children {
-				labels := []Label{{Key: f.LabelKey, Value: c.Value}}
-				if _, err := fmt.Fprintf(w, "%s%s %d\n", f.Name, labelString(labels), c.Count); err != nil {
-					return err
-				}
+	var err error
+	switch {
+	case f.kind == KindHistogram:
+		err = writeHistogram(w, f.name, f.unit, f.hist.Snapshot())
+	case f.labelKey != "":
+		for _, c := range f.childSnapshot() {
+			labels := []Label{{Key: f.labelKey, Value: c.value}}
+			if _, err = fmt.Fprintf(w, "%s%s %d\n", f.name, labelString(labels), c.count); err != nil {
+				break
 			}
-			return nil
 		}
-		v := uint64(0)
-		if f.Counter != nil {
-			v = *f.Counter
-		}
-		_, err := fmt.Fprintf(w, "%s %d\n", f.Name, v)
-		return err
-	case KindGauge:
-		v := int64(0)
-		if f.Gauge != nil {
-			v = *f.Gauge
-		}
-		_, err := fmt.Fprintf(w, "%s%s %d\n", f.Name, labelString(f.Labels), v)
-		return err
-	case KindHistogram:
-		unit, err := parseUnit(f.Unit)
-		if err != nil {
-			return err
-		}
-		hw := f.Hist
-		if hw == nil {
-			hw = &HistogramWire{}
-		}
-		return writeHistogram(w, f.Name, unit, hw.dense())
+	case f.kind == KindCounter:
+		_, err = fmt.Fprintf(w, "%s %d\n", f.name, f.counter.Value())
+	default:
+		_, err = fmt.Fprintf(w, "%s%s %d\n", f.name, labelString(f.labels), f.gauge.Value())
 	}
-	return nil
+	return err
 }
 
 func writeHistogram(w io.Writer, name string, unit HistUnit, s HistogramSnapshot) error {

@@ -91,11 +91,10 @@ const (
 )
 
 // Label is one constant key/value annotation on a metric sample, rendered
-// as `name{key="value"}` in the Prometheus exposition and carried through
-// the snapshot wire codec.
+// as `name{key="value"}` in the Prometheus exposition.
 type Label struct {
-	Key   string `json:"key"`
-	Value string `json:"value"`
+	Key   string
+	Value string
 }
 
 // family is one registered metric family: a name, its help text, and
@@ -141,14 +140,20 @@ func (f *family) childCounter(value string) *Counter {
 	return c
 }
 
+// labeledCount is one child sample of a counter-vec family.
+type labeledCount struct {
+	value string
+	count uint64
+}
+
 // childSnapshot returns the family's labeled counter samples in first-use
 // order.
-func (f *family) childSnapshot() []LabeledCount {
+func (f *family) childSnapshot() []labeledCount {
 	f.childMu.Lock()
 	defer f.childMu.Unlock()
-	out := make([]LabeledCount, 0, len(f.childOrder))
+	out := make([]labeledCount, 0, len(f.childOrder))
 	for _, v := range f.childOrder {
-		out = append(out, LabeledCount{Value: v, Count: f.children[v].Value()})
+		out = append(out, labeledCount{value: v, count: f.children[v].Value()})
 	}
 	return out
 }
@@ -185,17 +190,23 @@ func (r *Registry) register(name, help string, kind Kind, unit HistUnit) *family
 		}
 		return f
 	}
-	f := &family{name: name, help: help, kind: kind, unit: unit}
-	switch kind {
-	case KindCounter:
+	return r.add(&family{name: name, help: help, kind: kind, unit: unit})
+}
+
+// add gives f the instrument its kind needs (a counter-vec family gets
+// its children on first use) and appends it to the registration order.
+// r.mu must be held.
+func (r *Registry) add(f *family) *family {
+	switch {
+	case f.kind == KindCounter && f.labelKey == "":
 		f.counter = &Counter{}
-	case KindGauge:
+	case f.kind == KindGauge:
 		f.gauge = &Gauge{}
-	case KindHistogram:
+	case f.kind == KindHistogram:
 		f.hist = NewHistogram()
 	}
-	r.families[name] = f
-	r.names = append(r.names, name)
+	r.families[f.name] = f
+	r.names = append(r.names, f.name)
 	return f
 }
 
@@ -225,10 +236,7 @@ func (r *Registry) LabeledGauge(name, help string, labels ...Label) *Gauge {
 		}
 		return f.gauge
 	}
-	f := &family{name: name, help: help, kind: KindGauge, labels: append([]Label(nil), labels...), gauge: &Gauge{}}
-	r.families[name] = f
-	r.names = append(r.names, name)
-	return f.gauge
+	return r.add(&family{name: name, help: help, kind: KindGauge, labels: append([]Label(nil), labels...)}).gauge
 }
 
 // CounterVec is a counter family partitioned by one label key: each
@@ -256,10 +264,7 @@ func (r *Registry) CounterVec(name, help, labelKey string) CounterVec {
 		}
 		return CounterVec{f: f}
 	}
-	f := &family{name: name, help: help, kind: KindCounter, labelKey: labelKey}
-	r.families[name] = f
-	r.names = append(r.names, name)
-	return CounterVec{f: f}
+	return CounterVec{f: r.add(&family{name: name, help: help, kind: KindCounter, labelKey: labelKey})}
 }
 
 // With resolves the child counter for one label value.
@@ -330,6 +335,69 @@ func (r *Registry) snapshotFamilies() []*family {
 		out = append(out, r.families[name])
 	}
 	return out
+}
+
+// Merge folds every family of src into r, in src's registration order,
+// registering the families r lacks with src's help text; it is how a
+// finished job's private registry retires into the daemon's. Counters,
+// unlabeled gauges and counter-vec children add, and histograms merge
+// bucket-wise. A labeled gauge is an identity, not an accumulator: it
+// takes src's value only where the constant labels match, and otherwise
+// keeps r's. A family registered in both with a different kind,
+// histogram unit or label key is an error, never a panic; the families
+// before it are folded by then. Merge src once it is quiescent: like
+// Histogram.Merge, the fold is atomic per instrument, not across them.
+func (r *Registry) Merge(src *Registry) error {
+	for _, sf := range src.snapshotFamilies() {
+		f, err := r.resolveForMerge(sf)
+		if err != nil {
+			return err
+		}
+		switch sf.kind {
+		case KindCounter:
+			if sf.labelKey == "" {
+				f.counter.Add(sf.counter.Value())
+				break
+			}
+			for _, c := range sf.childSnapshot() {
+				if c.count != 0 {
+					f.childCounter(c.value).Add(c.count)
+				}
+			}
+		case KindGauge:
+			if !labelsEqual(f.labels, sf.labels) {
+				break
+			}
+			if len(f.labels) == 0 {
+				f.gauge.Add(sf.gauge.Value())
+			} else {
+				f.gauge.Set(sf.gauge.Value())
+			}
+		case KindHistogram:
+			f.hist.Merge(sf.hist)
+		}
+	}
+	return nil
+}
+
+// resolveForMerge returns r's family for src family sf, registering a
+// copy of sf's schema when r has none.
+func (r *Registry) resolveForMerge(sf *family) (*family, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	f, ok := r.families[sf.name]
+	switch {
+	case !ok:
+		return r.add(&family{name: sf.name, help: sf.help, kind: sf.kind, unit: sf.unit,
+			labels: append([]Label(nil), sf.labels...), labelKey: sf.labelKey}), nil
+	case f.kind != sf.kind:
+		return nil, fmt.Errorf("telemetry: merge %q: registered as %s, source has %s", sf.name, f.kind, sf.kind)
+	case f.unit != sf.unit:
+		return nil, fmt.Errorf("telemetry: merge %q: histogram unit mismatch", sf.name)
+	case f.labelKey != sf.labelKey:
+		return nil, fmt.Errorf("telemetry: merge %q: label key %q vs %q", sf.name, f.labelKey, sf.labelKey)
+	}
+	return f, nil
 }
 
 // registryKey carries a *Registry on a context.

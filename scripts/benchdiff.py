@@ -20,10 +20,13 @@ With --lockstep the input is `go test -bench BenchmarkRun -benchmem`
 output covering both BenchmarkRun and BenchmarkRunLockstep (a file
 argument or stdin), and the check is the lockstep engine's throughput
 contract: on every shared workload, lockstep-pooled trials/s must be at
-least LOCKSTEP_FLOOR (5×) the pooled scalar engine's — a hard failure —
-and below LOCKSTEP_TARGET (10×) it prints a warn-only line. The maximum
-across -count repeats is compared on both sides: throughput noise only
-ever subtracts, so the max is the least-noisy estimate of each engine.
+least LOCKSTEP_FLOOR times the reference engine's from the same run — a
+hard failure. The reference engine is the parity oracle and is never
+tuned, so the ratio measures the lockstep engine alone; a ratio over the
+pooled scalar engine would shrink with every scalar speed-up. That
+ratio is still printed. The maximum across -count repeats is compared
+on every side: throughput noise only ever subtracts, so the max is the
+least-noisy estimate of each engine.
 """
 
 import json
@@ -69,8 +72,12 @@ def warn_perf_drift(baseline, current):
 
 import re
 
-LOCKSTEP_FLOOR = 5.0  # hard minimum lockstep/scalar trials/s ratio
-LOCKSTEP_TARGET = 10.0  # warn (not fail) below this ratio
+# Hard minimum lockstep-pooled / reference trials/s ratio. The gate it
+# replaced asked for 5x the pooled scalar engine, which ran at 5.4x-6.8x
+# the reference engine on a 2-vCPU VM (Go 1.24, n=1024 and 4096, -count
+# 3 maxima), so that floor sat at 27x-34x the reference; 35x keeps every
+# slowdown it caught failing. Lockstep itself ran at 42x-52x.
+LOCKSTEP_FLOOR = 35.0
 
 BENCH_LINE = re.compile(
     r"^(?P<bench>BenchmarkRun|BenchmarkRunLockstep)"
@@ -92,41 +99,40 @@ def lockstep_main(src):
         key = (m.group("bench"), m.group("engine"), m.group("work"))
         best[key] = max(best.get(key, 0.0), float(t.group(1)))
 
-    scalar = {w: v for (b, e, w), v in best.items() if b == "BenchmarkRun" and e == "pooled"}
-    lockstep = {
-        w: v
-        for (b, e, w), v in best.items()
-        if b == "BenchmarkRunLockstep" and e == "lockstep-pooled"
-    }
-    shared = sorted(set(scalar) & set(lockstep))
+    def engine(bench, name):
+        return {w: v for (b, e, w), v in best.items() if b == bench and e == name}
+
+    reference = engine("BenchmarkRun", "reference")
+    pooled = engine("BenchmarkRun", "pooled")
+    lockstep = engine("BenchmarkRunLockstep", "lockstep-pooled")
+    shared = sorted(set(reference) & set(pooled) & set(lockstep))
     if not shared:
         print(
-            "benchdiff --lockstep: no shared pooled/lockstep-pooled workloads found "
-            "(run both BenchmarkRun and BenchmarkRunLockstep with trials/s metrics)",
+            "benchdiff --lockstep: no workload has reference, pooled and "
+            "lockstep-pooled results (run both BenchmarkRun and "
+            "BenchmarkRunLockstep with trials/s metrics)",
             file=sys.stderr,
         )
         return 1
 
     ok = True
     for work in shared:
-        base, fast = scalar[work], lockstep[work]
-        if base <= 0:
+        ref, scalar, fast = reference[work], pooled[work], lockstep[work]
+        if ref <= 0 or scalar <= 0:
             continue
-        ratio = fast / base
+        ratio = fast / ref
+        status = "ok"
         if ratio < LOCKSTEP_FLOOR:
             status, ok = "REGRESSION", False
-        elif ratio < LOCKSTEP_TARGET:
-            status = "WARN"
-        else:
-            status = "ok"
         print(
-            f"{status:10}  {work}: scalar={base:.1f} lockstep={fast:.1f} trials/s "
-            f"({ratio:.1f}x; floor {LOCKSTEP_FLOOR:.0f}x, target {LOCKSTEP_TARGET:.0f}x)"
+            f"{status:10}  {work}: reference={ref:.1f} pooled={scalar:.1f} "
+            f"lockstep={fast:.1f} trials/s ({ratio:.1f}x reference, floor "
+            f"{LOCKSTEP_FLOOR:.0f}x; {fast / scalar:.1f}x pooled scalar)"
         )
     if not ok:
         print(
             f"benchdiff --lockstep: lockstep throughput fell below the hard "
-            f"{LOCKSTEP_FLOOR:.0f}x floor over the pooled scalar engine",
+            f"{LOCKSTEP_FLOOR:.0f}x floor over the reference engine",
             file=sys.stderr,
         )
         return 1
