@@ -15,6 +15,12 @@
 //     the remainder as soon as it hears a message.
 //   - If a receiver has between 1 and Δest sender neighbors, it hears a
 //     message with probability at least 1 − (7/8)^k.
+//
+// Receive listens through its slots with radio.Env.ListenFor, one listen
+// run per window of consecutive listening slots, so on the scheduler a
+// receiver hands off once per message heard or per window, not once per
+// slot. Its receptions, energy and rounds are those of slot-by-slot
+// listening.
 package backoff
 
 import (
@@ -96,6 +102,13 @@ func Receive(env *radio.Env, k, delta, deltaEst int) bool {
 
 // ReceivePayload is Receive but also returns the payload of the first
 // message heard (0 when nothing was heard).
+//
+// The receiver's listens form runs of consecutive rounds — the whole
+// backoff when it listens in every slot, one run per iteration otherwise —
+// and each run is one Env.ListenFor, so the engine hands off once per run
+// or message heard, not once per slot. A heard non-message
+// (a CD collision, a beep) ends a ListenFor but not the listening, which
+// goes on exactly as slot-by-slot listening would.
 func ReceivePayload(env *radio.Env, k, delta, deltaEst int) (uint64, bool) {
 	defer restorePhase(env, claimPhase(env, "rec-ebackoff"))
 	if deltaEst <= 0 || deltaEst > delta {
@@ -106,22 +119,23 @@ func ReceivePayload(env *radio.Env, k, delta, deltaEst int) (uint64, bool) {
 	if listenSlots > slots {
 		listenSlots = slots
 	}
-	heard := false
-	var payload uint64
-	for i := 0; i < k; i++ {
-		j := 0
-		for ; !heard && j < listenSlots; j++ {
-			r := env.Listen()
+	iters, span, run := k, uint64(slots), uint64(listenSlots)
+	if listenSlots == slots && k > 0 {
+		iters, span, run = 1, uint64(k)*span, uint64(k)*run
+	}
+	for i := 0; i < iters; i++ {
+		for left := run; left > 0; {
+			r, m := env.ListenFor(left)
+			left -= m
 			if r.Kind == radio.MessageKind {
-				heard = true
-				payload = r.Payload
-				j++
-				break
+				// Sleep out the rest of the backoff.
+				env.Sleep(uint64(iters-i)*span - (run - left))
+				return r.Payload, true
 			}
 		}
-		env.Sleep(uint64(slots - j))
+		env.Sleep(span - run)
 	}
-	return payload, heard
+	return 0, false
 }
 
 // ReceiveNoEarlySleep is Receive with the paper's receiver-side energy

@@ -2,10 +2,12 @@ package backoff
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"radiomis/internal/graph"
 	"radiomis/internal/radio"
+	"radiomis/internal/rng"
 )
 
 func TestSlots(t *testing.T) {
@@ -354,5 +356,75 @@ func TestReceiveNoEarlySleepRoundBudgetExact(t *testing.T) {
 	}
 	if res.Energy[1] != uint64(k*Slots(deltaEst)) {
 		t.Errorf("energy = %d, want k·Slots(Δest) = %d", res.Energy[1], k*Slots(deltaEst))
+	}
+}
+
+// receiveSlotBySlot is ReceivePayload as one Listen per slot: the
+// definition its ListenFor runs must reproduce.
+func receiveSlotBySlot(env *radio.Env, k, delta, deltaEst int) (uint64, bool) {
+	defer restorePhase(env, claimPhase(env, "rec-ebackoff"))
+	if deltaEst <= 0 || deltaEst > delta {
+		deltaEst = delta
+	}
+	slots := Slots(delta)
+	listenSlots := min(Slots(deltaEst), slots)
+	heard := false
+	var payload uint64
+	for i := 0; i < k; i++ {
+		j := 0
+		for ; !heard && j < listenSlots; j++ {
+			if r := env.Listen(); r.Kind == radio.MessageKind {
+				heard, payload = true, r.Payload
+				j++
+				break
+			}
+		}
+		env.Sleep(uint64(slots - j))
+	}
+	return payload, heard
+}
+
+func TestReceiveMatchesSlotBySlot(t *testing.T) {
+	// On a random graph where each node sends or receives in each of
+	// several backoffs, ReceivePayload must give exactly the Result of
+	// slot-by-slot listening in every model: outputs, energy, halt rounds
+	// and round count. Δest below Δ listens in one window per iteration;
+	// CD collisions and beeps end a ListenFor but not the listening.
+	type receiver func(env *radio.Env, k, delta, deltaEst int) (uint64, bool)
+	program := func(recv receiver) radio.Program {
+		return func(env *radio.Env) int64 {
+			const delta = 16
+			acc := uint64(env.ID())
+			for b := 0; b < 6; b++ {
+				k := 1 + env.Rand().Intn(6)
+				if env.Rand().Intn(3) == 0 {
+					Send(env, k, delta, uint64(env.ID()+1))
+					continue
+				}
+				p, ok := recv(env, k, delta, []int{0, 2, 4, 16}[env.Rand().Intn(4)])
+				acc = acc*31 + p
+				if ok {
+					acc++
+				}
+			}
+			return int64(acc)
+		}
+	}
+	g := graph.GNP(60, 0.1, rng.New(3))
+	for _, model := range []radio.Model{radio.ModelCD, radio.ModelNoCD, radio.ModelBeep} {
+		for seed := uint64(0); seed < 4; seed++ {
+			cfg := radio.Config{Model: model, Seed: seed}
+			want, err := radio.Run(g, cfg, program(receiveSlotBySlot))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := radio.Run(g, cfg, program(ReceivePayload))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%v seed %d: ReceivePayload diverges from slot-by-slot listening", model, seed)
+			}
+		}
 	}
 }

@@ -150,10 +150,12 @@ func (r *Result) TotalEnergy() uint64 {
 // scheduler (see Env.flush). A node program runs ahead of the scheduler —
 // queueing its next transmit and sleep actions without a goroutine switch
 // per action — until it must wait for a reception, halts, or fills a
-// batch. The scheduler consumes exactly one intent per scheduled round
-// regardless of capacity, so results are identical at any capacity; only
-// the number of goroutine switches changes. Beyond 16 the capacity barely
-// matters; below it, Send-style sleep/transmit runs hand over too often.
+// batch. A listen run of any length is one intent and ends its batch. The
+// scheduler consumes exactly one intent per scheduled round regardless of
+// capacity (re-serving a listen run's intent until the run ends), so
+// results are identical at any capacity; only the number of goroutine
+// switches changes. Beyond 16 the capacity barely matters; below it,
+// Send-style sleep/transmit runs hand over too often.
 const batchCap = 32
 
 // Run simulates program on every vertex of g under cfg and blocks until all
@@ -260,6 +262,7 @@ func run(g *graph.Graph, cfg Config, program Program, reference bool) (*Result, 
 			kill:    kill,
 			fast:    fast,
 			down:    down,
+			ref:     reference,
 		}
 		if inj != nil && inj.HasCrash() {
 			envs[i].crashCh = make(chan crashSignal)

@@ -353,7 +353,9 @@ func TestContextAbortsRun(t *testing.T) {
 	g := graph.New(2)
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
-	started := make(chan struct{})
+	// Buffered: the signal is sent once, without blocking, and must not be
+	// lost if this goroutine has not reached its receive yet.
+	started := make(chan struct{}, 1)
 	go func() {
 		_, err := Run(g, Config{Model: ModelCD, Seed: 1, Ctx: ctx}, func(env *Env) int64 {
 			for {

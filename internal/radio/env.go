@@ -34,15 +34,19 @@ type crashSignal struct {
 // be called from the node's own program goroutine. An Env is not safe for
 // use from other goroutines.
 type Env struct {
-	id    int
-	n     int
-	rand  *rand.Rand
-	round uint64 // round at which the node's next action takes place
+	id   int
+	n    int
+	rand *rand.Rand
+	// round is the round at which the node's next action takes place. The
+	// scheduler sets it at the end of a listen run, before its reply,
+	// which the node receives before it reads the field again.
+	round uint64
 
 	// The batched hand-off. The node appends its intents to fill, a batch
 	// cut from ring (three equal buffers of the run's batch capacity), and
-	// hands fill over on handoff only when it must wait (Listen), when it
-	// halts, or when fill is full; then it rotates to the next buffer.
+	// hands fill over on handoff only when it must wait for a reception (a
+	// listen run, however many rounds it lasts), when it halts, or when
+	// fill is full; then it rotates to the next buffer.
 	// Three buffers suffice because handoff holds one batch: when the node
 	// starts batch k its send of batch k-1 has completed, so the scheduler
 	// had taken batch k-2, which it does only after finishing batch k-3,
@@ -58,8 +62,8 @@ type Env struct {
 	// clean runs pay nothing for the extra case).
 	crashCh chan crashSignal
 	// fast selects the select-free channel discipline: a batch hand-off is
-	// a plain send guarded by one atomic load of down, and Listen a plain
-	// receive — roughly a third of the cost of the historical three-way
+	// a plain send guarded by one atomic load of down, and a listen's wait
+	// a plain receive — roughly a third of the cost of the historical three-way
 	// selects. It is enabled whenever nothing can preempt a blocked node
 	// mid-run: the sharded scheduler with no crash faults configured.
 	// Crash-fault runs keep the select discipline because a blocked node
@@ -67,6 +71,10 @@ type Env struct {
 	// because that synchronization cost is part of what it preserves. See
 	// run's teardown for the fast shutdown protocol.
 	fast bool
+	// ref marks a node of the reference engine, which serves one
+	// single-round intent per hand-off: ListenFor expands there into
+	// single-round listens, so the reference engine defines listen runs.
+	ref bool
 	// down is the run-wide teardown flag backing the fast discipline
 	// (shared by all of the run's Envs).
 	down *atomic.Bool
@@ -86,7 +94,8 @@ func (e *Env) N() int { return e.n }
 
 // Round returns the round at which the node's next action will occur.
 // Node-local bookkeeping keeps this exact without any global clock:
-// Transmit and Listen each consume one round and Sleep(k) consumes k.
+// Transmit and Listen each consume one round, ListenFor the rounds it
+// listened, and Sleep(k) consumes k.
 func (e *Env) Round() uint64 { return e.round }
 
 // Rand returns the node's private random stream. Streams of distinct nodes
@@ -126,11 +135,48 @@ func (e *Env) TransmitBit() { e.Transmit(1) }
 
 // Listen spends this round listening and returns what was perceived under
 // the network's collision model. The node is awake (one unit of energy).
+// It is ListenFor(1).
 func (e *Env) Listen() Reception {
-	e.fill = append(e.fill, intent{kind: intentListen, phase: e.phase})
+	r, _ := e.ListenFor(1)
+	return r
+}
+
+// ListenFor listens for up to m consecutive rounds and returns at the first
+// round whose reception Heard() — under no-CD, the first message — or after
+// m rounds, with that round's reception and the number of rounds listened.
+// The node is awake (one unit of energy) in every round it listens, and
+// every round is perceived and observed exactly as a Listen call in its
+// place would be. ListenFor(0) listens to nothing: it returns Silence and 0.
+//
+// On the scheduler a listen run is one hand-off however long it lasts: the
+// scheduler serves the same intent round after round and replies when the
+// run ends, so a receiver waiting out a backoff costs a goroutine switch
+// per message heard, not per round.
+func (e *Env) ListenFor(m uint64) (Reception, uint64) {
+	if m == 0 {
+		return Reception{Kind: Silence}, 0
+	}
+	if !e.ref {
+		start := e.round
+		r := e.listen(m)
+		n := e.round - start
+		e.energy += n
+		return r, n
+	}
+	for i := uint64(1); ; i++ {
+		r := e.listen(1)
+		e.round++
+		e.energy++
+		if r.Heard() || i == m {
+			return r, i
+		}
+	}
+}
+
+// listen hands over a listen run of m rounds and waits for its reply.
+func (e *Env) listen(m uint64) Reception {
+	e.fill = append(e.fill, intent{kind: intentListen, arg: m, phase: e.phase})
 	e.flush()
-	e.round++
-	e.energy++
 	if e.fast {
 		r, ok := <-e.replyCh
 		if !ok {
@@ -230,9 +276,10 @@ const (
 
 type intent struct {
 	kind intentKind
-	// arg is the kind's operand: a transmit's payload, a sleep's length,
-	// or a halt's output. One shared field keeps an intent at 32 bytes,
-	// which sizes every node's batch buffers.
+	// arg is the kind's operand: a transmit's payload, a listen's run
+	// length (ListenFor), a sleep's length, or a halt's output. One shared
+	// field keeps an intent at 32 bytes, which sizes every node's batch
+	// buffers.
 	arg   uint64
 	phase string // Env.Phase label at submission (transmit/listen only)
 }

@@ -65,9 +65,11 @@ type RunPerf struct {
 	Imbalance float64
 	// HandoffWaits counts the times the scheduler reached a due node
 	// whose next intent batch had not arrived and had to wait for it
-	// (yield, then block). Nodes hand batches over only when they listen,
-	// halt, or fill a batch, so a run whose nodes run far ahead waits
-	// about once per batch, not once per intent.
+	// (yield, then block). Nodes hand batches over only when they start a
+	// listen run, halt, or fill a batch, so a run whose nodes run far
+	// ahead waits about once per batch, not once per intent, and a node
+	// listening through a ListenFor stretch waits at most once for it,
+	// not once per round listened.
 	HandoffWaits uint64
 
 	// SliceEvery, when > 0, samples the round loop into coarse RoundSlices:

@@ -193,6 +193,39 @@ func TestPerfHandoffWaitsPerBatch(t *testing.T) {
 	}
 }
 
+// TestPerfHandoffWaitsPerListenRun bounds RunPerf.HandoffWaits on a lone
+// node at GOMAXPROCS=1 that listens for m rounds and hears nothing: as one
+// ListenFor(m) the stretch is one hand-off, so the run waits at most twice
+// (the listen run and the halt); as m Listen calls the scheduler reaches
+// the node before its next listen in every round and waits about m+1
+// times. Waits can only fall below these counts, if the runtime happens
+// to run the node goroutine before the scheduler looks for its batch.
+func TestPerfHandoffWaitsPerListenRun(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const m = 64
+	g := graph.New(1)
+	run := runWithPerf(t, g, Config{Model: ModelNoCD, Seed: 5}, func(env *Env) int64 {
+		_, n := env.ListenFor(m)
+		return int64(n)
+	})
+	if run.HandoffWaits > 2 {
+		t.Errorf("ListenFor(%d): %d hand-off waits, want ≤ 2", m, run.HandoffWaits)
+	}
+	single := runWithPerf(t, g, Config{Model: ModelNoCD, Seed: 5}, func(env *Env) int64 {
+		for i := 0; i < m; i++ {
+			env.Listen()
+		}
+		return m
+	})
+	if single.HandoffWaits < m/2 {
+		t.Errorf("%d Listen calls: %d hand-off waits, want about %d", m, single.HandoffWaits, m+1)
+	}
+	t.Logf("hand-off waits: ListenFor(%d) %d, %d Listen calls %d", m, run.HandoffWaits, m, single.HandoffWaits)
+	if run.Rounds != single.Rounds {
+		t.Errorf("the listen run took %d scheduler rounds, %d Listen calls %d", run.Rounds, m, single.Rounds)
+	}
+}
+
 // TestPerfDisabledAddsNoAllocs extends the nil-observer zero-alloc guard
 // to the telemetry layer: with Config.Perf nil the scheduler's per-round
 // allocation count must stay zero — the disabled path is only nil checks.

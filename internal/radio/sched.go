@@ -38,7 +38,10 @@ import (
 //     (Env.flush), so a node running ahead costs a goroutine switch per
 //     batch rather than per intent; the scheduler reads them through
 //     per-node cursors (take) and yields once before waiting for a batch
-//     that has not arrived (refill).
+//     that has not arrived (refill). A listen run (Env.ListenFor) is one
+//     intent the scheduler serves again every round until the node hears
+//     something or the run is spent (reply), so a receiver that listens
+//     through a backoff costs one switch per message heard, not per round.
 //
 // Event scheduling exploits that almost every event lands on the next
 // round: an awake action at round r schedules the node at r+1, which goes
@@ -359,10 +362,12 @@ func (s *sched) bind(g *graph.Graph, csr *graph.CSR, cfg *Config, inj *faults.In
 }
 
 // cursor is the scheduler's side of one node's batched hand-off: the batch
-// it is consuming and the position of the next intent in it.
+// it is consuming, the position of the next intent in it, and the rounds
+// served so far of the listen run at the position before it.
 type cursor struct {
 	batch []intent
 	pos   int
+	ran   uint64
 }
 
 // take returns node id's next intent, receiving the node's next batch
@@ -393,6 +398,24 @@ func (s *sched) refill(sh *shard, c *cursor, handoff chan []intent) {
 		c.batch = <-handoff
 	}
 	c.pos = 0
+}
+
+// reply hands listener id the reception r of its listen run's latest
+// round once the run ends — r is heard, or the run's length is spent —
+// after moving the node's clock past the run; otherwise it rewinds id's
+// cursor, so the next round serves the same listen intent again without a
+// hand-off.
+func (s *sched) reply(id int32, r Reception) {
+	c := &s.cursors[id]
+	c.ran++
+	if !r.Heard() && c.ran < c.batch[c.pos-1].arg {
+		c.pos--
+		return
+	}
+	c.ran = 0
+	env := s.envs[id]
+	env.round = s.round + 1
+	env.replyCh <- r
 }
 
 // loop is the scheduler's round loop: find the next round with a scheduled
@@ -586,7 +609,7 @@ func (s *sched) receive(sh *shard) {
 				sh.collisions++
 			}
 		}
-		s.envs[id].replyCh <- reception
+		s.reply(id, reception)
 	}
 }
 
@@ -810,7 +833,7 @@ func (s *sched) faultRound(r uint64) error {
 				}
 			}
 			li++
-			s.envs[id].replyCh <- reception
+			s.reply(id, reception)
 		}
 	}
 

@@ -59,12 +59,43 @@ func runAheadBenchProgram(env *Env) int64 {
 	return heard
 }
 
+// listenBenchProgram is the benchmark's listen-run workload: the awake
+// profile of the no-CD algorithm's receivers. Each phase a node either
+// sends — a Send-style backoff of 15 iterations over 4 slots — or
+// receives, listening through the same 60-round window as one
+// Rec-EBackoff-shaped ListenFor and sleeping out the rest once it hears.
+// On the scheduler a receiving phase is one hand-off; the reference
+// engine expands it into single-round listens.
+func listenBenchProgram(env *Env) int64 {
+	const slots, iters = 4, 15
+	heard := int64(0)
+	for phase := 0; phase < 10; phase++ {
+		if env.Rand().Intn(2) == 0 {
+			env.Phase("send")
+			for i := 0; i < iters; i++ {
+				x := 1 + bits.TrailingZeros64(env.Rand().Uint64()|1<<(slots-1))
+				env.Sleep(uint64(x - 1))
+				env.TransmitBit()
+				env.Sleep(uint64(slots - x))
+			}
+			continue
+		}
+		env.Phase("receive")
+		r, m := env.ListenFor(iters * slots)
+		if r.Heard() {
+			heard++
+		}
+		env.Sleep(iters*slots - m)
+	}
+	return heard
+}
+
 // BenchmarkRun measures end-to-end trial throughput — complete Run calls
-// per second — comparing four engine configurations on three workloads:
+// per second — comparing four engine configurations on four workloads:
 // the scheduler's acceptance workload G(n=4096, p=8/n), a smaller control
-// at n=1024, and the run-ahead workload of the no-CD algorithms on an 8×8
-// grid (no lane twin, so benchdiff.py --lockstep skips it). The
-// configurations are:
+// at n=1024, and the run-ahead and listen-run workloads of the no-CD
+// algorithms on an 8×8 grid (no lane twin, so benchdiff.py --lockstep
+// skips them). The configurations are:
 //
 //	reference  the preserved pre-rework engine (single-slot channel
 //	           rendezvous, heap-only scheduling)
@@ -94,7 +125,9 @@ func BenchmarkRun(b *testing.B) {
 		g := graph.GNP(n, 8.0/float64(n), rand.New(rand.NewSource(4096)))
 		works = append(works, workload{fmt.Sprintf("gnp/n=%d", n), g, benchProgram})
 	}
-	works = append(works, workload{"runahead/grid/n=64", graph.Grid2D(8, 8), runAheadBenchProgram})
+	works = append(works,
+		workload{"runahead/grid/n=64", graph.Grid2D(8, 8), runAheadBenchProgram},
+		workload{"listen/grid/n=64", graph.Grid2D(8, 8), listenBenchProgram})
 	for _, w := range works {
 		for _, engine := range []string{"reference", "sched", "pooled", "perf"} {
 			b.Run(engine+"/"+w.name, func(b *testing.B) {

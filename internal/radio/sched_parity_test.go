@@ -1,13 +1,16 @@
 package radio
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"radiomis/internal/faults"
 	"radiomis/internal/graph"
@@ -134,6 +137,79 @@ func runAheadProgram(env *Env) int64 {
 	return heard
 }
 
+// listenRunProgram mixes Listen, ListenFor runs of 1 to 32 rounds,
+// payload transmits and sleeps, and branches on what each listen heard: a
+// message is echoed, a collision sends the node to sleep, silence moves
+// on. With long > 0 it also listens for long rounds and for 2⁶⁴−1 rounds;
+// such a run ends only when the node hears something or the run reaches
+// its round cap. The output folds every reception and run length the node
+// saw and its final Round and Energy, so a listen run that returns a
+// different reception or length, or advances the node's clock by anything
+// but its length, shows up in Result.Outputs as well as in the observer
+// stream.
+func listenRunProgram(long uint64) Program {
+	labels := [...]string{"listen-a", "listen-b", "listen-c"}
+	return func(env *Env) int64 {
+		acc := uint64(env.ID())
+		mix := func(v uint64) { acc = acc*0x9e3779b97f4a7c15 + v + 1 }
+		for step := 0; step < 12; step++ {
+			env.Phase(labels[step%len(labels)])
+			var r Reception
+			var got uint64
+			switch x := env.Rand().Intn(8); {
+			case x == 0:
+				env.Transmit(uint64(env.ID())<<8 | uint64(step))
+				continue
+			case x == 1:
+				env.Sleep(uint64(env.Rand().Intn(3) + 1))
+				continue
+			case x == 2:
+				r, got = env.Listen(), 1
+			case x == 3 && long > 0:
+				r, got = env.ListenFor(long)
+			case x == 4 && long > 0:
+				r, got = env.ListenFor(^uint64(0))
+			default:
+				r, got = env.ListenFor(uint64(1 + env.Rand().Intn(32)))
+			}
+			mix(uint64(r.Kind)<<56 ^ r.Payload)
+			mix(got)
+			switch {
+			case r.Kind == MessageKind:
+				env.Transmit(r.Payload + 1)
+			case r.Heard():
+				env.Sleep(got%3 + 1)
+			}
+		}
+		mix(env.Round())
+		mix(env.Energy())
+		return int64(acc)
+	}
+}
+
+// listenRunCap is the round cap of the listen-run parity cases whose
+// listens may run past it.
+const listenRunCap = 600
+
+// runListenRuns runs listenRunProgram through runBoth under CD and no-CD:
+// once with runs of at most 32 rounds and no cap, and once with
+// runs past listenRunCap under that cap, which most such runs hit.
+func runListenRuns(t *testing.T, g *graph.Graph, cfg Config) {
+	for _, model := range []Model{ModelCD, ModelNoCD} {
+		t.Run(model.String(), func(t *testing.T) {
+			c := cfg
+			c.Model = model
+			runBoth(t, g, c, listenRunProgram(0))
+		})
+		t.Run(model.String()+"/capped", func(t *testing.T) {
+			c := cfg
+			c.Model = model
+			c.MaxRounds = listenRunCap
+			runBoth(t, g, c, listenRunProgram(listenRunCap+1))
+		})
+	}
+}
+
 func parityGraphs(t *testing.T) map[string]*graph.Graph {
 	t.Helper()
 	r := rand.New(rand.NewSource(11))
@@ -147,47 +223,58 @@ func parityGraphs(t *testing.T) map[string]*graph.Graph {
 	}
 }
 
-// runBoth executes cfg/program on the reference engine and on the
-// scheduler at a spread of shard counts (plus once through a Pool), and
-// requires bit-identical results, errors, and observer streams everywhere.
-func runBoth(t *testing.T, g *graph.Graph, cfg Config, program Program) {
+// parityRef is a reference-engine run that scheduler runs must match.
+type parityRef struct {
+	res *Result
+	err error
+	obs *parityObserver
+}
+
+// referenceRun runs cfg/program on the reference engine with an observer.
+func referenceRun(g *graph.Graph, cfg Config, program Program) parityRef {
+	obs := &parityObserver{}
+	cfg.Observer = obs
+	res, err := runReference(g, cfg, program)
+	return parityRef{res, err, obs}
+}
+
+// match runs cfg/program on the scheduler with an observer and fails
+// unless it returns the reference's error after the same observer stream
+// and, when it succeeds, the same Result. An errored run's Result is left
+// unspecified.
+func (want parityRef) match(t *testing.T, label string, g *graph.Graph, cfg Config, program Program) {
 	t.Helper()
-
-	refObs := &parityObserver{}
-	refCfg := cfg
-	refCfg.Observer = refObs
-	wantRes, wantErr := runReference(g, refCfg, program)
-
-	check := func(t *testing.T, label string, res *Result, err error, obs *parityObserver) {
-		t.Helper()
-		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
-			t.Fatalf("%s: error = %v, reference = %v", label, err, wantErr)
+	obs := &parityObserver{}
+	cfg.Observer = obs
+	res, err := Run(g, cfg, program)
+	if (err == nil) != (want.err == nil) || (err != nil && err.Error() != want.err.Error()) {
+		t.Fatalf("%s: error = %v, reference = %v", label, err, want.err)
+	}
+	if err == nil && !reflect.DeepEqual(res, want.res) {
+		t.Fatalf("%s: Result diverges from reference\n got: %+v\nwant: %+v", label, res, want.res)
+	}
+	if !reflect.DeepEqual(obs.events, want.obs.events) {
+		if len(obs.events) != len(want.obs.events) {
+			t.Fatalf("%s: observer saw %d events, reference %d", label, len(obs.events), len(want.obs.events))
 		}
-		if err != nil {
-			return // errored runs leave the Result unspecified
-		}
-		if !reflect.DeepEqual(res, wantRes) {
-			t.Fatalf("%s: Result diverges from reference\n got: %+v\nwant: %+v", label, res, wantRes)
-		}
-		if !reflect.DeepEqual(obs.events, refObs.events) {
-			if len(obs.events) != len(refObs.events) {
-				t.Fatalf("%s: observer saw %d events, reference %d", label, len(obs.events), len(refObs.events))
-			}
-			for i := range obs.events {
-				if !reflect.DeepEqual(obs.events[i], refObs.events[i]) {
-					t.Fatalf("%s: observer event %d diverges\n got: %+v\nwant: %+v", label, i, obs.events[i], refObs.events[i])
-				}
+		for i := range obs.events {
+			if !reflect.DeepEqual(obs.events[i], want.obs.events[i]) {
+				t.Fatalf("%s: observer event %d diverges\n got: %+v\nwant: %+v", label, i, obs.events[i], want.obs.events[i])
 			}
 		}
 	}
+}
 
-	for _, shards := range []int{0, 1, 2, 3, 8} {
-		obs := &parityObserver{}
+// runBoth executes cfg/program on the reference engine and on the
+// scheduler at a spread of shard counts (plus twice through a Pool), and
+// requires bit-identical results, errors, and observer streams everywhere.
+func runBoth(t *testing.T, g *graph.Graph, cfg Config, program Program) {
+	t.Helper()
+	want := referenceRun(g, cfg, program)
+	for _, shards := range []int{0, 1, 2, 3, 4, 8} {
 		c := cfg
-		c.Observer = obs
 		c.Shards = shards
-		res, err := Run(g, c, program)
-		check(t, fmt.Sprintf("shards=%d", shards), res, err, obs)
+		want.match(t, fmt.Sprintf("shards=%d", shards), g, c, program)
 	}
 
 	// Through a Pool: twice on the same pool, so the second run exercises
@@ -199,12 +286,9 @@ func runBoth(t *testing.T, g *graph.Graph, cfg Config, program Program) {
 		base = context.Background()
 	}
 	for trial := 0; trial < 2; trial++ {
-		obs := &parityObserver{}
 		c := cfg
-		c.Observer = obs
 		c.Ctx = WithPool(base, pool)
-		res, err := Run(g, c, program)
-		check(t, fmt.Sprintf("pool trial=%d", trial), res, err, obs)
+		want.match(t, fmt.Sprintf("pool trial=%d", trial), g, c, program)
 	}
 }
 
@@ -226,6 +310,9 @@ func TestSchedulerParityClean(t *testing.T) {
 		t.Run(gname+"/beep", func(t *testing.T) {
 			runBoth(t, g, Config{Model: ModelBeep, Seed: 0xbee9, UnaryOnly: true}, beepProgram)
 		})
+		t.Run(gname+"/listenrun", func(t *testing.T) {
+			runListenRuns(t, g, Config{Seed: 0x1157 + uint64(len(gname))})
+		})
 	}
 }
 
@@ -237,6 +324,9 @@ func TestSchedulerParityWakeRound(t *testing.T) {
 		wakes[i] = uint64(r.Intn(17))
 	}
 	runBoth(t, g, Config{Model: ModelCD, Seed: 3, WakeRound: wakes}, decayProgram)
+	t.Run("listenrun", func(t *testing.T) {
+		runListenRuns(t, g, Config{Seed: 3, WakeRound: wakes})
+	})
 }
 
 func TestSchedulerParityFaults(t *testing.T) {
@@ -259,6 +349,15 @@ func TestSchedulerParityFaults(t *testing.T) {
 		for _, gname := range []string{"star65", "gnp200"} {
 			t.Run(fname+"/"+gname, func(t *testing.T) {
 				runBoth(t, gs[gname], Config{Model: ModelCD, Seed: 0xc0ffee, Faults: fp}, decayProgram)
+			})
+		}
+	}
+	// Every profile strikes listen runs: a crash inside a run ends it, and
+	// each round of a run draws its own crash hazard, losses and noise.
+	for fname, fp := range profiles {
+		for _, gname := range []string{"star65", "gnp200"} {
+			t.Run(fname+"/"+gname+"/listenrun", func(t *testing.T) {
+				runListenRuns(t, gs[gname], Config{Seed: 0xc0ffee, Faults: fp})
 			})
 		}
 	}
@@ -311,45 +410,76 @@ func TestSchedulerParityMaxRounds(t *testing.T) {
 // TestAbortAndMaxRoundsDuringHandoff strikes a run with its round cap and
 // with context cancellation while nodes are blocked handing off a full
 // batch, on every engine and channel discipline, and requires Run to
-// return the abort error. Every node but 0 runs ahead without ever waiting,
-// so it keeps a full batch on its hand-off and blocks sending the next;
-// node 0 listens every round and, in the cancellation case, signals once
-// the run is well under way. A pooled run after the aborts must still
-// match the reference engine: no aborted run may leave a node writing into
-// the pool's batch arena.
+// return the reference engine's abort error with no node goroutine left.
+// Every node but 0 runs ahead without ever waiting, so it keeps a full
+// batch on its hand-off and blocks sending the next. In the "listen" case
+// node 0 listens every round; in the "listenrun" case it listens in runs,
+// first for 4·batchCap rounds, then without end, so the cap and the
+// cancellation land inside a listen run (under no-CD, where its two
+// neighbours' simultaneous transmissions sound like silence). In the
+// cancellation case node 0 signals once the run is well under way. A
+// pooled run after the aborts must still match the reference engine: no
+// aborted run may leave a node writing into the pool's batch arena.
 func TestAbortAndMaxRoundsDuringHandoff(t *testing.T) {
 	g := graph.Cycle(130)
-	program := func(started chan<- struct{}) Program {
-		var once sync.Once
-		return func(env *Env) int64 {
-			for env.ID() != 0 {
-				env.Transmit(1)
-				env.Sleep(1)
-			}
-			for {
-				if env.Round() >= 4*batchCap && started != nil {
-					once.Do(func() { close(started) })
-				}
-				env.Listen()
-			}
+	runAhead := func(env *Env) {
+		for {
+			env.Transmit(1)
+			env.Sleep(1)
 		}
+	}
+	programs := []struct {
+		name    string
+		model   Model
+		program func(started chan<- struct{}) Program
+	}{
+		{"listen", ModelCD, func(started chan<- struct{}) Program {
+			var once sync.Once
+			return func(env *Env) int64 {
+				if env.ID() != 0 {
+					runAhead(env)
+				}
+				for {
+					if env.Round() >= 4*batchCap && started != nil {
+						once.Do(func() { close(started) })
+					}
+					env.Listen()
+				}
+			}
+		}},
+		{"listenrun", ModelNoCD, func(started chan<- struct{}) Program {
+			return func(env *Env) int64 {
+				if env.ID() != 0 {
+					runAhead(env)
+				}
+				env.ListenFor(4 * batchCap)
+				if started != nil {
+					close(started)
+				}
+				env.ListenFor(^uint64(0))
+				return 0
+			}
+		}},
 	}
 	pool := NewPool(3)
 	defer pool.Close()
-	engines := map[string]func(Config, Program) (*Result, error){
-		"reference": func(cfg Config, p Program) (*Result, error) { return runReference(g, cfg, p) },
-		"sched": func(cfg Config, p Program) (*Result, error) {
+	engines := []struct {
+		name string
+		run  func(Config, Program) (*Result, error)
+	}{
+		{"reference", func(cfg Config, p Program) (*Result, error) { return runReference(g, cfg, p) }},
+		{"sched", func(cfg Config, p Program) (*Result, error) {
 			cfg.Shards = 3
 			return Run(g, cfg, p)
-		},
-		"pooled": func(cfg Config, p Program) (*Result, error) {
+		}},
+		{"pooled", func(cfg Config, p Program) (*Result, error) {
 			base := cfg.Ctx
 			if base == nil {
 				base = context.Background()
 			}
 			cfg.Ctx = WithPool(base, pool)
 			return Run(g, cfg, p)
-		},
+		}},
 	}
 	// A crash rate that never fires still switches the nodes to the
 	// select discipline.
@@ -357,42 +487,106 @@ func TestAbortAndMaxRoundsDuringHandoff(t *testing.T) {
 		"fast":   {},
 		"select": {Crash: faults.Crash{Rate: 1e-300}},
 	}
-	for ename, engine := range engines {
+	cancelled := func(t *testing.T, run func(Config, Program) (*Result, error), cfg Config, program func(chan<- struct{}) Program) error {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		started := make(chan struct{})
+		errc := make(chan error, 1)
+		cfg.Ctx = ctx
+		go func() {
+			_, err := run(cfg, program(started))
+			errc <- err
+		}()
+		<-started
+		if k := nodeGoroutines(); k != g.N() {
+			t.Errorf("%d node goroutines in a running run of %d nodes", k, g.N())
+		}
+		cancel()
+		return <-errc
+	}
+	for _, prog := range programs {
 		for pname, fp := range profiles {
-			t.Run(ename+"/"+pname+"/maxrounds", func(t *testing.T) {
-				_, err := engine(Config{Model: ModelCD, Seed: 4, MaxRounds: 10 * batchCap, Faults: fp}, program(nil))
-				if !errors.Is(err, ErrMaxRounds) {
-					t.Fatalf("err = %v, want ErrMaxRounds", err)
+			cfg := Config{Model: prog.model, Seed: 4, Faults: fp}
+			capped := cfg
+			capped.MaxRounds = 10 * batchCap
+			var wantCap, wantCancel string
+			for _, e := range engines {
+				// The listen program's subtests carry no program segment.
+				label := e.name + "/" + pname
+				if prog.name != "listen" {
+					label += "/" + prog.name
 				}
-			})
-			t.Run(ename+"/"+pname+"/cancel", func(t *testing.T) {
-				ctx, cancel := context.WithCancel(context.Background())
-				defer cancel()
-				started := make(chan struct{})
-				errc := make(chan error, 1)
-				go func() {
-					_, err := engine(Config{Model: ModelCD, Seed: 4, Ctx: ctx, Faults: fp}, program(started))
-					errc <- err
-				}()
-				<-started
-				cancel()
-				if err := <-errc; !errors.Is(err, ErrAborted) {
-					t.Fatalf("err = %v, want ErrAborted", err)
-				}
-			})
+				t.Run(label+"/maxrounds", func(t *testing.T) {
+					_, err := e.run(capped, prog.program(nil))
+					if !errors.Is(err, ErrMaxRounds) {
+						t.Fatalf("err = %v, want ErrMaxRounds", err)
+					}
+					if wantCap == "" {
+						wantCap = err.Error()
+					} else if err.Error() != wantCap {
+						t.Fatalf("err = %q, reference %q", err, wantCap)
+					}
+					if k := nodeGoroutinesLeft(); k != 0 {
+						t.Fatalf("%d node goroutines left after Run returned", k)
+					}
+				})
+				t.Run(label+"/cancel", func(t *testing.T) {
+					err := cancelled(t, e.run, cfg, prog.program)
+					if !errors.Is(err, ErrAborted) {
+						t.Fatalf("err = %v, want ErrAborted", err)
+					}
+					if wantCancel == "" {
+						wantCancel = err.Error()
+					} else if err.Error() != wantCancel {
+						t.Fatalf("err = %q, reference %q", err, wantCancel)
+					}
+					if k := nodeGoroutinesLeft(); k != 0 {
+						t.Fatalf("%d node goroutines left after Run returned", k)
+					}
+				})
+			}
 		}
 	}
 	want, err := runReference(g, Config{Model: ModelCD, Seed: 9}, runAheadProgram)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := engines["pooled"](Config{Model: ModelCD, Seed: 9}, runAheadProgram)
+	got, err := engines[2].run(Config{Model: ModelCD, Seed: 9}, runAheadProgram)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("pooled run after aborted runs diverges from the reference engine")
 	}
+}
+
+// nodeGoroutinesLeft counts the goroutines run spawned for nodes that are
+// still alive after it returned. Run waits until every node goroutine has
+// run its last deferred call, but a goroutine can still be exiting right
+// after; one that stays alive for a second is left over.
+func nodeGoroutinesLeft() int {
+	deadline := time.Now().Add(time.Second)
+	for {
+		k := nodeGoroutines()
+		if k == 0 || time.Now().After(deadline) {
+			return k
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// nodeGoroutines counts the live goroutines that run spawned for nodes.
+func nodeGoroutines() int {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	return bytes.Count(buf, []byte("created by radiomis/internal/radio.run in goroutine"))
 }
 
 // TestPoolConcurrentRunsQueue starts pooled runs from several goroutines at

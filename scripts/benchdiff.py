@@ -8,8 +8,9 @@ The suite is deterministic at a fixed seed, so any drift in a metric
 summary (count/mean/std/min/max/median/p90 per (series, x, metric) point)
 means the simulation's behavior changed. Wall-clock fields (durationMs)
 are ignored. Exits 0 when every shared metric point matches, 1 on any
-difference, missing experiment, or missing point — CI runs this as a
-warn-only step so intentional changes just need a regenerated baseline.
+difference, missing experiment, or missing point. CI's bench-drift job
+fails on a non-zero exit, so a change that alters results on purpose
+regenerates the baseline in the same change.
 
 Reports may also carry a per-experiment "perf" section (trial wall-time
 histogram summaries). Perf numbers are hardware- and load-dependent, so
