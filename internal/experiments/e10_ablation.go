@@ -8,6 +8,7 @@ import (
 	"radiomis/internal/graph"
 	"radiomis/internal/harness"
 	"radiomis/internal/mis"
+	"radiomis/internal/obs"
 	"radiomis/internal/rng"
 	"radiomis/internal/texttable"
 )
@@ -91,11 +92,13 @@ func E10Ablation(ctx context.Context, cfg Config) (*Report, error) {
 	{
 		g := graph.GNP(n, 8.0/float64(n), rng.New(cfg.Seed))
 		p := mis.ParamsDefault(g.N(), g.MaxDegree())
-		_, bd, err := mis.SolveNoCDBreakdownContext(ctx, g, p, cfg.Seed)
-		if err != nil {
+		bd := obs.NewPhaseBreakdown(g.N())
+		if _, err := mis.Run("nocd", g, p, mis.RunOpts{Seed: cfg.Seed, Ctx: ctx, Observer: bd}); err != nil {
 			return nil, fmt.Errorf("experiments: e10 breakdown: %w", err)
 		}
-		comp, checks, low := bd.Totals()
+		comp := phaseEnergy(bd, "competition")
+		checks := phaseEnergy(bd, "deep-check", "announce", "shallow-check")
+		low := phaseEnergy(bd, "low-degree")
 		total := comp + checks + low
 		if total > 0 {
 			seg.AddRow("competition", comp, float64(comp)/float64(total))
@@ -115,4 +118,16 @@ func E10Ablation(ctx context.Context, cfg Config) (*Report, error) {
 		"the commit mechanism's saving (log Δ vs log log n listening) only materializes when Δ ≫ κ·log n, which laptop-scale graphs cannot reach — at this scale its LowDegreeMIS overhead can even dominate (see EXPERIMENTS.md)",
 	}
 	return report, nil
+}
+
+// phaseEnergy sums the awake rounds that bd attributed to the named
+// Env.Phase labels, over all nodes.
+func phaseEnergy(bd *obs.PhaseBreakdown, labels ...string) uint64 {
+	var total uint64
+	for _, label := range labels {
+		if ps := bd.Phase(label); ps != nil {
+			total += ps.TotalAwake()
+		}
+	}
+	return total
 }

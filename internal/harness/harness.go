@@ -96,7 +96,10 @@ type Options struct {
 // batch fast: remaining trials are cancelled (no new ones start, in-flight
 // ones see a cancelled context) and the lowest-indexed observed error is
 // returned. Successful batches store results in trial order, so aggregates
-// are deterministic regardless of scheduling.
+// are deterministic regardless of scheduling. Each worker runs its trials
+// on one radio.Pool borrowed from the process-wide cache (radio.AcquirePool)
+// and installed on the trial context, so engine scratch stays warm across
+// trials and across calls.
 //
 // Each completed trial additionally reports an obs progress event
 // ({Stage: "trial", Done, Total}) to any sink installed on ctx with
@@ -106,7 +109,7 @@ type Options struct {
 // incremented; with no registry the timing path is skipped entirely.
 //
 // Repeat is RepeatBatches with a group size of 1; callers whose trial
-// function can run many seeds per call (mis.RunMany on the lockstep
+// function can run many seeds per call (mis.RunManyFunc on the lockstep
 // engine) use RepeatBatches directly.
 func Repeat(ctx context.Context, opts Options, f TrialFunc) (*Aggregate, error) {
 	return RepeatBatches(ctx, opts, 1, func(ctx context.Context, _ int, seeds []uint64) ([]Metrics, error) {
@@ -121,12 +124,13 @@ func Repeat(ctx context.Context, opts Options, f TrialFunc) (*Aggregate, error) 
 // BatchFunc runs one contiguous group of trials in a single call. seeds[i]
 // is the derived seed of global trial offset+i; the function returns one
 // Metrics per seed, in seed order. The context carries the worker's
-// radio.Pool and is cancelled when the batch is abandoned.
+// radio.Pool, borrowed from the process-wide cache for the worker's share
+// of the call, and is cancelled when the batch is abandoned.
 type BatchFunc func(ctx context.Context, offset int, seeds []uint64) ([]Metrics, error)
 
 // RepeatBatches is Repeat generalized to trial functions that execute
 // `group` trials per call — the harness face of the lockstep engine, where
-// one mis.RunMany call advances up to 64 trials at once. Trial seeds,
+// one mis.RunManyFunc call advances up to 64 trials at once. Trial seeds,
 // aggregation order, fail-fast semantics, and worker pooling are identical
 // to Repeat's; the last group is ragged when Trials is not a multiple of
 // group.
@@ -195,18 +199,20 @@ func RepeatBatches(ctx context.Context, opts Options, group int, f BatchFunc) (*
 		wg        sync.WaitGroup
 		next      = make(chan int)
 	)
-	// Each worker owns one radio.Pool for its whole share of the batch, so
-	// consecutive trials reuse the engine's worker shards, round buffers,
-	// and CSR adjacency snapshot instead of rebuilding them per trial.
-	// Splitting the machine's parallelism across the workers keeps a
-	// parallel batch from oversubscribing cores with engine shards.
+	// Each worker borrows one radio.Pool from the process-wide cache for
+	// its whole share of the batch, so consecutive trials reuse the
+	// engine's worker shards, round buffers, lane result buffers and CSR
+	// adjacency snapshot, and the next call's workers find the buffers
+	// already grown. Splitting the machine's parallelism across the
+	// workers keeps a parallel batch from oversubscribing cores with
+	// engine shards.
 	shardsPer := PoolShards(par)
 	for w := 0; w < par; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			pool := radio.NewPool(shardsPer)
-			defer pool.Close()
+			pool := radio.AcquirePool(shardsPer)
+			defer pool.Release()
 			wctx := radio.WithPool(tctx, pool)
 			seeds := make([]uint64, 0, group)
 			for off := range next {
@@ -276,7 +282,7 @@ feed:
 			return nil, fmt.Errorf("harness: trial %d: %w", firstIdx, firstErr)
 		}
 		// Group errors carry their own in-group trial attribution (e.g.
-		// mis.RunMany's "trial %d"), indexed relative to the group's start.
+		// mis.RunManyFunc's "trial %d"), indexed relative to the group's start.
 		return nil, fmt.Errorf("harness: trials %d+: %w", firstIdx, firstErr)
 	}
 	if err := ctx.Err(); err != nil {
@@ -291,9 +297,10 @@ feed:
 	return agg, nil
 }
 
-// PoolShards reports the engine shard count each Repeat worker's
-// radio.Pool gets at the given trial parallelism (≤ 0 means GOMAXPROCS):
-// the machine's parallelism divided across the workers, at least 1. It is
+// PoolShards reports the engine shard count each Repeat worker's cached
+// radio.Pool is set up for at the given trial parallelism (≤ 0 means
+// GOMAXPROCS): the machine's parallelism divided across the workers, at
+// least 1. It is
 // exported so report headers (benchsuite's host section) can record the
 // exact pool configuration Repeat used.
 func PoolShards(parallelism int) int {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/bits"
 	"strings"
+	"sync"
 
 	"radiomis/internal/faults"
 	"radiomis/internal/graph"
@@ -46,6 +47,47 @@ const (
 	EngineLockstep = "lockstep"
 )
 
+// laneProgram is a lane twin whose Params are set per batch, so one twin
+// and its scratch can serve RunMany calls with different Params.
+type laneProgram interface {
+	radio.LaneProgram
+	setParams(p Params)
+}
+
+// laneRun is what a RunMany call on the lockstep engine reuses from the
+// previous one: a lane twin to rebind, and the Result that every trial is
+// handed over in.
+type laneRun struct {
+	lp  laneProgram
+	res Result
+}
+
+// laneCache caches one algorithm's laneRuns across RunMany calls, one per
+// concurrent caller. Like radio's pool cache it is a sync.Pool, so the GC
+// can drop the scratch of a twin that a large batch grew.
+type laneCache struct {
+	sync.Pool
+}
+
+func newLaneCache(build func() laneProgram) *laneCache {
+	c := &laneCache{}
+	c.New = func() any { return &laneRun{lp: build()} }
+	return c
+}
+
+func (c *laneCache) get(p Params) *laneRun {
+	run := c.Get().(*laneRun)
+	run.lp.setParams(p)
+	return run
+}
+
+// put returns run to the cache. Its Result keeps only its own Status and
+// InMIS storage, not the engine buffers the last trial was handed over in.
+func (c *laneCache) put(run *laneRun) {
+	run.res = Result{Status: run.res.Status, InMIS: run.res.InMIS}
+	c.Put(run)
+}
+
 // laneTwin is the part both twins share: L and B, and one SplitMix64
 // stream per lane, indexed [node*radio.MaxLanes + lane].
 type laneTwin struct {
@@ -53,8 +95,8 @@ type laneTwin struct {
 	rngs []uint64
 }
 
-func newLaneTwin(p Params) laneTwin {
-	return laneTwin{l: uint64(p.LubyPhases()), b: uint64(p.RankBits())}
+func (lt *laneTwin) setParams(p Params) {
+	lt.l, lt.b = uint64(p.LubyPhases()), uint64(p.RankBits())
 }
 
 // bind seeds lane l of every node v with rng.Mix(seeds[l], v) and returns
@@ -143,9 +185,7 @@ type cdLaneProgram struct {
 	nodes []cdNode
 }
 
-func newCDLane(p Params) radio.LaneProgram {
-	return &cdLaneProgram{laneTwin: newLaneTwin(p)}
-}
+func newCDLane() laneProgram { return &cdLaneProgram{} }
 
 func (cp *cdLaneProgram) Bind(n int, seeds []uint64) {
 	all := cp.bind(n, seeds)
@@ -226,9 +266,7 @@ type naiveCDLaneProgram struct {
 	nodes []naiveNode
 }
 
-func newNaiveCDLane(p Params) radio.LaneProgram {
-	return &naiveCDLaneProgram{laneTwin: newLaneTwin(p)}
-}
+func newNaiveCDLane() laneProgram { return &naiveCDLaneProgram{} }
 
 func (np *naiveCDLaneProgram) Bind(n int, seeds []uint64) {
 	all := np.bind(n, seeds)
@@ -300,29 +338,52 @@ type ManyOpts struct {
 }
 
 // RunMany executes len(opts.Seeds) independent trials of the named
-// algorithm on g — the canonical multi-trial entry point behind
-// radiomis.SolveMany, harness.Repeat, and the daemon's repeat jobs.
+// algorithm on g — the multi-trial entry point behind radiomis.SolveMany.
 // Results are in seed order and each is bit-identical to the single-trial
 // Run(name, g, p, RunOpts{Seed: opts.Seeds[i], ...}) result regardless of
 // the engine that produced it; on the first failing trial RunMany returns
-// that trial's error (lowest index wins, like a sequential loop).
+// that trial's error (lowest index wins, like a sequential loop). It is
+// RunManyFunc with a callback that copies every Result out.
+func RunMany(name string, g *graph.Graph, p Params, opts ManyOpts) ([]*Result, error) {
+	results := make([]*Result, 0, len(opts.Seeds))
+	err := RunManyFunc(name, g, p, opts, func(_ int, res *Result) error {
+		results = append(results, res.clone())
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return results, nil
+}
+
+// RunManyFunc runs the trials RunMany runs and hands each trial's Result
+// to fn, with the trial's index, in seed order, until a trial fails or fn
+// returns an error. It returns the failing trial's error, attributed as
+// RunMany's is, or fn's error unchanged. The radiomisd solve path reduces
+// each trial to its metric row inside fn.
+//
+// res is valid only until fn returns: on the lockstep engine every trial
+// is handed over in one reused Result whose Energy and DecisionRound are
+// the engine's buffers, so copy what you keep.
 //
 // Under EngineAuto a clean (no faults), unobserved batch of a
 // LockstepCapable algorithm runs on the bit-parallel lockstep engine in
 // chunks of up to radio.MaxLanes trials per engine call; everything else
-// runs on the scalar engine one trial at a time. Lockstep batches do not
-// emit per-trial engine trace spans (the scalar path's EngineSliceRounds
-// sampling); attach a context Pool either way to amortize engine scratch.
-func RunMany(name string, g *graph.Graph, p Params, opts ManyOpts) ([]*Result, error) {
+// runs on the scalar engine one trial at a time. The lane twin comes from
+// a per-algorithm cache and is rebound rather than rebuilt. Lockstep
+// batches do not emit per-trial engine trace spans (the scalar path's
+// EngineSliceRounds sampling); attach a context Pool either way to reuse
+// engine scratch.
+func RunManyFunc(name string, g *graph.Graph, p Params, opts ManyOpts, fn func(trial int, res *Result) error) error {
 	spec, ok := algoSpecs[name]
 	if !ok {
-		return nil, fmt.Errorf("mis: unknown algorithm %q (known: %s)", name, strings.Join(Algorithms(), ", "))
+		return fmt.Errorf("mis: unknown algorithm %q (known: %s)", name, strings.Join(Algorithms(), ", "))
 	}
 	if err := p.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	if err := opts.Faults.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	lockstepOK := spec.lane != nil && opts.Faults.IsZero() && opts.Observer == nil
 	engine := opts.Engine
@@ -337,44 +398,58 @@ func RunMany(name string, g *graph.Graph, p Params, opts ManyOpts) ([]*Result, e
 		if !lockstepOK {
 			switch {
 			case spec.lane == nil:
-				return nil, fmt.Errorf("mis: %s has no lockstep lane program; use engine %q", name, EngineScalar)
+				return fmt.Errorf("mis: %s has no lockstep lane program; use engine %q", name, EngineScalar)
 			case !opts.Faults.IsZero():
-				return nil, fmt.Errorf("mis: the lockstep engine does not support fault injection; use engine %q", EngineScalar)
+				return fmt.Errorf("mis: the lockstep engine does not support fault injection; use engine %q", EngineScalar)
 			default:
-				return nil, fmt.Errorf("mis: the lockstep engine does not support observers; use engine %q", EngineScalar)
+				return fmt.Errorf("mis: the lockstep engine does not support observers; use engine %q", EngineScalar)
 			}
 		}
 	default:
-		return nil, fmt.Errorf("mis: unknown engine %q (known: %s, %s, %s)", opts.Engine, EngineAuto, EngineScalar, EngineLockstep)
+		return fmt.Errorf("mis: unknown engine %q (known: %s, %s, %s)", opts.Engine, EngineAuto, EngineScalar, EngineLockstep)
 	}
 
-	results := make([]*Result, 0, len(opts.Seeds))
 	if engine == EngineScalar {
 		ro := RunOpts{Ctx: opts.Ctx, Faults: opts.Faults, Observer: opts.Observer}
 		for i, seed := range opts.Seeds {
 			ro.Seed = seed
 			res, err := Run(name, g, p, ro)
 			if err != nil {
-				return nil, fmt.Errorf("trial %d: %w", i, err)
+				return fmt.Errorf("trial %d: %w", i, err)
 			}
-			results = append(results, res)
+			if err := fn(i, res); err != nil {
+				return err
+			}
 		}
-		return results, nil
+		return nil
 	}
 
-	lp := spec.lane(p)
+	run := spec.lane.get(p)
+	defer spec.lane.put(run)
+	cfg := radio.Config{Model: spec.model, Ctx: opts.Ctx}
 	for off := 0; off < len(opts.Seeds); off += radio.MaxLanes {
 		chunk := opts.Seeds[off:min(off+radio.MaxLanes, len(opts.Seeds))]
-		batch, err := radio.RunLockstep(g, radio.Config{Model: spec.model, Ctx: opts.Ctx}, lp, chunk)
-		if err != nil {
-			return nil, fmt.Errorf("mis: %s run: %w", name, err)
-		}
-		for l := range chunk {
-			if lerr := batch.Errs[l]; lerr != nil {
-				return nil, fmt.Errorf("trial %d: mis: %s run: %w", off+l, name, lerr)
+		// stopped tells an error the callback returned, already
+		// attributed, from an engine error.
+		stopped := false
+		err := radio.RunLockstep(g, cfg, run.lp, chunk, func(l int, rr *radio.Result, lerr error) error {
+			stopped = true
+			if lerr != nil {
+				return fmt.Errorf("trial %d: mis: %s run: %w", off+l, name, lerr)
 			}
-			results = append(results, newResult(batch.Results[l]))
+			run.res.fill(rr)
+			if err := fn(off+l, &run.res); err != nil {
+				return err
+			}
+			stopped = false
+			return nil
+		})
+		if err != nil {
+			if stopped {
+				return err
+			}
+			return fmt.Errorf("mis: %s run: %w", name, err)
 		}
 	}
-	return results, nil
+	return nil
 }

@@ -14,40 +14,71 @@ import (
 // solve job {cd, grid, n: 1024, trials: 64}. The variants are
 //
 //	scalar-pooled    the scalar engine, one trial at a time, behind a Pool
-//	lockstep         one 64-lane lockstep batch with fresh scratch, as a
-//	                 daemon job builds a new Pool per job
-//	lockstep-pooled  the lockstep batch behind a Pool kept across ops
+//	lockstep         one 64-lane lockstep batch on fresh scratch, with
+//	                 no Pool (a SolveMany call from outside the harness)
+//	lockstep-pooled  the lockstep batch behind a Pool kept across ops,
+//	                 results copied out by RunMany
+//	lockstep-cached  the daemon's shape: each op borrows a Pool from the
+//	                 process-wide cache as a harness worker does, and
+//	                 RunManyFunc hands every lane's Result to a callback
+//	                 in reused buffers; one op runs before the timer to
+//	                 warm the cache
 //
-// All three return bit-identical results, so trials/s compares engines
+// All four compute bit-identical results, so trials/s compares engines
 // directly. rounds/op (mean rounds per trial) is the drift guard: CI's
-// scripts/benchrounds.py requires the variants to agree on it.
+// scripts/benchrounds.py requires the variants to agree on it, and
+// scripts/benchallocs.py --many holds lockstep-cached to a steady-state
+// B/op budget. Timing barely separates the lockstep variants here: the
+// benchmark's heap is small, so the garbage a fresh batch leaves costs
+// little GC work, unlike in a daemon whose heap holds its job history.
 func BenchmarkRunMany(b *testing.B) {
 	g := graph.Grid2D(32, 32)
 	p := ParamsDefault(g.N(), g.MaxDegree())
-	for _, variant := range []string{"scalar-pooled", "lockstep", "lockstep-pooled"} {
+	for _, variant := range []string{"scalar-pooled", "lockstep", "lockstep-pooled", "lockstep-cached"} {
 		b.Run(fmt.Sprintf("%s/grid/n=%d", variant, g.N()), func(b *testing.B) {
 			opts := ManyOpts{Seeds: make([]uint64, radio.MaxLanes), Ctx: context.Background(), Engine: EngineLockstep}
 			if variant == "scalar-pooled" {
 				opts.Engine = EngineScalar
 			}
-			if variant != "lockstep" {
+			if variant == "scalar-pooled" || variant == "lockstep-pooled" {
 				pool := radio.NewPool(0)
 				defer pool.Close()
 				opts.Ctx = radio.WithPool(opts.Ctx, pool)
 			}
 			var rounds uint64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			op := func(i int) {
 				for l := range opts.Seeds {
 					opts.Seeds[l] = uint64(i*radio.MaxLanes + l)
 				}
-				results, err := RunMany("cd", g, p, opts)
+				if variant != "lockstep-cached" {
+					results, err := RunMany("cd", g, p, opts)
+					if err != nil {
+						b.Fatal(err)
+					}
+					for _, res := range results {
+						rounds += res.Rounds
+					}
+					return
+				}
+				pool := radio.AcquirePool(1)
+				defer pool.Release()
+				o := opts
+				o.Ctx = radio.WithPool(opts.Ctx, pool)
+				err := RunManyFunc("cd", g, p, o, func(_ int, res *Result) error {
+					rounds += res.Rounds
+					return nil
+				})
 				if err != nil {
 					b.Fatal(err)
 				}
-				for _, res := range results {
-					rounds += res.Rounds
-				}
+			}
+			if variant == "lockstep-cached" {
+				op(0)
+				rounds = 0
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				op(i)
 			}
 			trials := float64(b.N) * radio.MaxLanes
 			b.ReportMetric(float64(rounds)/trials, "rounds/op")

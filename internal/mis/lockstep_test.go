@@ -259,6 +259,186 @@ func TestLockstepCapable(t *testing.T) {
 	}
 }
 
+// collectManyFunc runs RunManyFunc and copies every Result out inside the
+// callback, checking that trials arrive once each, in order.
+func collectManyFunc(name string, g *graph.Graph, p Params, opts ManyOpts) ([]*Result, error) {
+	var out []*Result
+	err := RunManyFunc(name, g, p, opts, func(i int, res *Result) error {
+		if i != len(out) {
+			return fmt.Errorf("trial %d handed over after %d trials", i, len(out))
+		}
+		out = append(out, res.clone())
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if len(out) != len(opts.Seeds) {
+		return nil, fmt.Errorf("%d trials handed over, want %d", len(out), len(opts.Seeds))
+	}
+	return out, nil
+}
+
+// freshLockstep runs seeds on a newly built lane twin with no pool, the
+// reference the cached path must match.
+func freshLockstep(t *testing.T, name string, g *graph.Graph, p Params, seeds []uint64) []*Result {
+	t.Helper()
+	spec := algoSpecs[name]
+	lp := spec.lane.New().(*laneRun).lp
+	lp.setParams(p)
+	var out []*Result
+	for off := 0; off < len(seeds); off += radio.MaxLanes {
+		chunk := seeds[off:min(off+radio.MaxLanes, len(seeds))]
+		err := radio.RunLockstep(g, radio.Config{Model: spec.model}, lp, chunk, func(_ int, rr *radio.Result, lerr error) error {
+			if lerr != nil {
+				return lerr
+			}
+			out = append(out, newResult(rr).clone())
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// TestRunManyFuncParity pins the callback form to the slice form and to
+// the scalar engine on a job-sized grid and a G(n, p) graph, at lane
+// counts that leave the last 64-lane chunk partial, exact or ragged. The
+// callback form runs on a cached pool, the slice form on fresh scratch.
+// The scalar engine checks every trial on G(n, p) and, to keep the race
+// run short, the trials at the chunk boundaries on the grid.
+func TestRunManyFuncParity(t *testing.T) {
+	graphs := []struct {
+		name   string
+		g      *graph.Graph
+		scalar []int // trials checked against the scalar engine; nil: all
+	}{
+		{"grid32x32", graph.Grid2D(32, 32), []int{0, 63, 64, 129}},
+		{"gnp200", graph.GNP(200, 6.0/200, rng.New(23)), nil},
+	}
+	for _, gc := range graphs {
+		g, gname := gc.g, gc.name
+		p := ParamsDefault(g.N(), g.MaxDegree())
+		for _, algo := range laneAlgos {
+			all := manySeeds(0xca11, 130)
+			for _, trials := range []int{1, 64, 65, 130} {
+				t.Run(fmt.Sprintf("%s/%s/trials=%d", algo, gname, trials), func(t *testing.T) {
+					seeds := all[:trials]
+					slice, err := RunMany(algo, g, p, ManyOpts{Seeds: seeds, Engine: EngineLockstep})
+					if err != nil {
+						t.Fatal(err)
+					}
+					pool := radio.AcquirePool(1)
+					defer pool.Release()
+					each, err := collectManyFunc(algo, g, p, ManyOpts{Seeds: seeds, Ctx: radio.WithPool(context.Background(), pool)})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(each, slice) {
+						t.Fatal("callback form diverges from the slice form")
+					}
+					check := gc.scalar
+					if check == nil {
+						for i := range seeds {
+							check = append(check, i)
+						}
+					}
+					for _, i := range check {
+						if i >= trials {
+							continue
+						}
+						single, err := Run(algo, g, p, RunOpts{Seed: seeds[i]})
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !reflect.DeepEqual(each[i], single) {
+							t.Fatalf("trial %d diverges from the scalar engine", i)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestRunManyCachedReuse serves one pool and the lane twin cache a
+// sequence of graphs that shrink, change shape and grow again, with
+// changed Params, and requires the fresh-run results every time.
+func TestRunManyCachedReuse(t *testing.T) {
+	grid := graph.Grid2D(32, 32)
+	changed := ParamsDefault(grid.N(), grid.MaxDegree())
+	changed.Beta *= 2
+	changed.C *= 0.5
+	steps := []struct {
+		name string
+		g    *graph.Graph
+		p    Params
+	}{
+		{"grid1024", grid, ParamsDefault(grid.N(), grid.MaxDegree())},
+		{"grid64", graph.Grid2D(8, 8), ParamsDefault(64, 4)},
+		{"gnp200", graph.GNP(200, 6.0/200, rng.New(29)), Params{}},
+		{"grid1024-changed", grid, changed},
+	}
+	pool := radio.AcquirePool(1)
+	defer pool.Release()
+	ctx := radio.WithPool(context.Background(), pool)
+	for _, algo := range laneAlgos {
+		for i, st := range steps {
+			p := st.p
+			if p.N == 0 {
+				p = ParamsDefault(st.g.N(), st.g.MaxDegree())
+			}
+			seeds := manySeeds(uint64(40+i), 65)
+			got, err := collectManyFunc(algo, st.g, p, ManyOpts{Seeds: seeds, Ctx: ctx})
+			if err != nil {
+				t.Fatalf("%s/%s: %v", algo, st.name, err)
+			}
+			if !reflect.DeepEqual(got, freshLockstep(t, algo, st.g, p, seeds)) {
+				t.Fatalf("%s/%s: cached run diverges from a fresh one", algo, st.name)
+			}
+		}
+	}
+}
+
+// TestRunManyFuncCallbackError ends a batch from the callback, in the
+// second lockstep chunk and on the scalar engine: RunManyFunc returns that
+// error unchanged, after exactly the trials before it, and the next call
+// on the caches is still correct.
+func TestRunManyFuncCallbackError(t *testing.T) {
+	g := graph.GNP(96, 6.0/96, rng.New(31))
+	p := ParamsDefault(g.N(), g.MaxDegree())
+	seeds := manySeeds(8, 130)
+	pool := radio.AcquirePool(1)
+	defer pool.Release()
+	ctx := radio.WithPool(context.Background(), pool)
+	stop := errors.New("stop")
+	for _, engine := range []string{EngineLockstep, EngineScalar} {
+		handed := 0
+		err := RunManyFunc("cd", g, p, ManyOpts{Seeds: seeds[:72], Ctx: ctx, Engine: engine}, func(i int, _ *Result) error {
+			handed++
+			if i == 70 {
+				return stop
+			}
+			return nil
+		})
+		if err != stop {
+			t.Fatalf("%s: err = %v, want the callback's error unchanged", engine, err)
+		}
+		if handed != 71 {
+			t.Fatalf("%s: %d trials handed over, want 71", engine, handed)
+		}
+	}
+	got, err := collectManyFunc("cd", g, p, ManyOpts{Seeds: seeds, Ctx: ctx})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, freshLockstep(t, "cd", g, p, seeds)) {
+		t.Fatal("the call after a stopped batch diverges from a fresh run")
+	}
+}
+
 // FuzzRunManyParity drives random divergence points — graph shape, lane
 // algorithm, ragged trial counts, per-trial seed offsets, mid-run
 // cancellation, and small phase and bit budgets — asserting the lockstep
@@ -299,7 +479,12 @@ func FuzzRunManyParity(f *testing.F) {
 			ctx = c
 		}
 		scalar, serr := RunMany(algo, g, p, ManyOpts{Seeds: seeds, Ctx: ctx, Engine: EngineScalar})
-		lock, lerr := RunMany(algo, g, p, ManyOpts{Seeds: seeds, Ctx: ctx, Engine: EngineLockstep})
+		// The lockstep side runs the callback form on a cached pool, so
+		// the fuzzer's calls also exercise the reuse of pools, lane twins
+		// and lane results across graphs, Params and lane counts.
+		pool := radio.AcquirePool(1)
+		lock, lerr := collectManyFunc(algo, g, p, ManyOpts{Seeds: seeds, Ctx: radio.WithPool(ctx, pool), Engine: EngineLockstep})
+		pool.Release()
 		if (serr == nil) != (lerr == nil) {
 			t.Fatalf("error divergence: scalar=%v lockstep=%v", serr, lerr)
 		}

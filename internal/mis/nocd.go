@@ -1,12 +1,7 @@
 package mis
 
 import (
-	"context"
-	"fmt"
-
 	"radiomis/internal/backoff"
-	"radiomis/internal/faults"
-	"radiomis/internal/graph"
 	"radiomis/internal/radio"
 	"radiomis/internal/rng"
 )
@@ -75,64 +70,12 @@ func NoCDRoundBudget(p Params) uint64 {
 //
 // The program labels its awake actions via Env.Phase — "competition",
 // "deep-check", "announce", "low-degree", and "shallow-check" — so an
-// attached Observer can attribute every unit of energy to the segment that
-// spent it (the streaming, per-node generalization of EnergyBreakdown).
+// attached Observer (obs.PhaseBreakdown) can attribute every unit of
+// energy to the segment that spent it.
 func NoCDProgram(p Params) radio.Program {
 	return func(env *radio.Env) int64 {
-		return runNoCD(env, p, compUndecided, nil)
+		return runNoCD(env, p, compUndecided)
 	}
-}
-
-// EnergyBreakdown attributes each node's awake rounds to the phase segment
-// that spent them — the instrumentation behind the per-segment analysis of
-// the ablation experiment. Slices are indexed by node.
-type EnergyBreakdown struct {
-	// Competition is energy spent inside Algorithm 3.
-	Competition []uint64
-	// Checks is energy spent in the two deep checks and the shallow check.
-	Checks []uint64
-	// LowDegree is energy spent inside the LowDegreeMIS subroutine.
-	LowDegree []uint64
-}
-
-// NewEnergyBreakdown returns a breakdown collector for n nodes.
-func NewEnergyBreakdown(n int) *EnergyBreakdown {
-	return &EnergyBreakdown{
-		Competition: make([]uint64, n),
-		Checks:      make([]uint64, n),
-		LowDegree:   make([]uint64, n),
-	}
-}
-
-// Totals returns the summed energy of each segment across all nodes.
-func (b *EnergyBreakdown) Totals() (competition, checks, lowDegree uint64) {
-	for i := range b.Competition {
-		competition += b.Competition[i]
-		checks += b.Checks[i]
-		lowDegree += b.LowDegree[i]
-	}
-	return competition, checks, lowDegree
-}
-
-// SolveNoCDBreakdown runs Algorithm 2 like Run("nocd", ...) and additionally
-// attributes every node's energy to the segment that spent it.
-func SolveNoCDBreakdown(g *graph.Graph, p Params, seed uint64) (*Result, *EnergyBreakdown, error) {
-	return SolveNoCDBreakdownContext(context.Background(), g, p, seed)
-}
-
-// SolveNoCDBreakdownContext is SolveNoCDBreakdown bounded by ctx.
-func SolveNoCDBreakdownContext(ctx context.Context, g *graph.Graph, p Params, seed uint64) (*Result, *EnergyBreakdown, error) {
-	if err := p.Validate(); err != nil {
-		return nil, nil, err
-	}
-	breakdown := NewEnergyBreakdown(g.N())
-	res, err := runProgramObserved(ctx, g, radio.ModelNoCD, seed, faults.Profile{}, nil, func(env *radio.Env) int64 {
-		return runNoCD(env, p, compUndecided, breakdown)
-	})
-	if err != nil {
-		return nil, nil, fmt.Errorf("mis: no-cd breakdown run: %w", err)
-	}
-	return res, breakdown, nil
 }
 
 // runNoCD executes Algorithm 2 starting at the node's current round with
@@ -140,28 +83,12 @@ func SolveNoCDBreakdownContext(ctx context.Context, g *graph.Graph, p Params, se
 // on every code path — early deciders sleep out the remainder — which lets
 // the unknown-Δ wrapper chain attempts back to back. It returns the node's
 // verdict.
-func runNoCD(env *radio.Env, p Params, initial compStatus, breakdown *EnergyBreakdown) int64 {
+func runNoCD(env *radio.Env, p Params, initial compStatus) int64 {
 	// Restore the caller's phase label on exit so the labels set per segment
 	// below don't leak into whatever the caller (e.g. the unknown-Δ
 	// wrapper's verification windows) does next.
 	prevPhase := env.PhaseLabel()
 	defer env.Phase(prevPhase)
-	// charge attributes the energy spent since the last checkpoint to the
-	// given per-node counter. Each node only ever writes its own index, so
-	// the collector needs no locking.
-	last := env.Energy()
-	charge := func(counter []uint64) {
-		if counter != nil {
-			counter[env.ID()] += env.Energy() - last
-		}
-		last = env.Energy()
-	}
-	// Per-segment counters (nil when no breakdown was requested, which
-	// charge treats as discard).
-	var cComp, cChecks, cLow []uint64
-	if breakdown != nil {
-		cComp, cChecks, cLow = breakdown.Competition, breakdown.Checks, breakdown.LowDegree
-	}
 	var (
 		l      = p.LubyPhases()
 		b      = p.RankBits()
@@ -173,7 +100,6 @@ func runNoCD(env *radio.Env, p Params, initial compStatus, breakdown *EnergyBrea
 		end    = start + uint64(l)*budget.tl
 	)
 	finish := func(v Status) int64 {
-		charge(cChecks) // residual of the segment that decided the node
 		env.SleepUntil(end)
 		return int64(v)
 	}
@@ -188,14 +114,12 @@ func runNoCD(env *radio.Env, p Params, initial compStatus, breakdown *EnergyBrea
 		base := start + uint64(i)*budget.tl
 
 		// Segment 1: competition (T_C rounds).
-		charge(cChecks) // residual from the previous phase's tail
 		if status == compInMIS {
 			env.SleepUntil(base + budget.tc)
 		} else {
 			env.Phase("competition")
 			status = competition(env, p, b, k, delta, dHat)
 		}
-		charge(cComp)
 
 		// Segment 2: deep check 1 (T_B rounds). MIS members announce;
 		// winners check for MIS neighbors they could conflict with.
@@ -227,10 +151,8 @@ func runNoCD(env *radio.Env, p Params, initial compStatus, breakdown *EnergyBrea
 			if receive(env, p, k, delta, 0) {
 				return finish(StatusOutMIS) // dominated: stop early
 			}
-			charge(cChecks)
 			env.Phase("low-degree")
 			verdict := lowDegreeMIS(env, p, dHat)
-			charge(cLow)
 			switch verdict {
 			case StatusInMIS:
 				status = compInMIS
@@ -266,7 +188,6 @@ func runNoCD(env *radio.Env, p Params, initial compStatus, breakdown *EnergyBrea
 			status = compUndecided
 		}
 	}
-	charge(cChecks) // tail of the final phase
 	if status == compInMIS {
 		return int64(StatusInMIS)
 	}

@@ -21,13 +21,13 @@ import (
 // algoSpec is one registry entry. Exactly one of program (a radio-model
 // distributed algorithm) and sequential (a centralized reference algorithm
 // with no rounds, no energy, and no channel to perturb) is set. lane, when
-// set, builds the program's bit-parallel lane twin for the lockstep engine
+// set, caches the program's bit-parallel lane twin for the lockstep engine
 // (see lockstep.go); algorithms without one always run on the scalar
 // engine.
 type algoSpec struct {
 	model       radio.Model
 	program     func(Params) radio.Program
-	lane        func(Params) radio.LaneProgram
+	lane        *laneCache
 	sequential  func(g *graph.Graph, p Params, seed uint64) *Result
 	description string
 }
@@ -38,15 +38,15 @@ const ModelSequential = "sequential"
 
 // algoSpecs maps canonical algorithm names to their specs.
 var algoSpecs = map[string]algoSpec{
-	"cd": {model: radio.ModelCD, program: CDProgram, lane: newCDLane,
+	"cd": {model: radio.ModelCD, program: CDProgram, lane: newLaneCache(newCDLane),
 		description: "Algorithm 1: energy-optimal MIS with collision detection (O(log n) energy, O(log² n) rounds)"},
-	"beep": {model: radio.ModelBeep, program: CDProgram, lane: newCDLane,
+	"beep": {model: radio.ModelBeep, program: CDProgram, lane: newLaneCache(newCDLane),
 		description: "Algorithm 1 unchanged in the beeping model (§3.1); same energy and rounds as cd"},
 	"nocd": {model: radio.ModelNoCD, program: NoCDProgram,
 		description: "Algorithms 2+3: energy-efficient MIS without collision detection (O(log² n log log n) energy)"},
 	"lowdegree": {model: radio.ModelNoCD, program: LowDegreeProgram,
 		description: "round-improved Davies-style MIS of §4.2 (O(log² n log Δ) rounds and energy); best-known-prior baseline"},
-	"naive-cd": {model: radio.ModelCD, program: NaiveCDProgram, lane: newNaiveCDLane,
+	"naive-cd": {model: radio.ModelCD, program: NaiveCDProgram, lane: newLaneCache(newNaiveCDLane),
 		description: "straightforward Luby baseline in the CD model (O(log² n) energy)"},
 	"naive-nocd": {model: radio.ModelNoCD, program: NaiveNoCDProgram,
 		description: "Algorithm 1 simulated round-by-round with traditional Decay backoff (O(log⁴ n) energy)"},

@@ -3,6 +3,7 @@ package mis
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"radiomis/internal/faults"
@@ -73,15 +74,15 @@ type Result struct {
 const EngineSliceRounds = 256
 
 // runProgramObserved executes program on g under the model and converts
-// the raw simulation outcome into an MIS result; Run and
-// SolveNoCDBreakdown resolve here. ctx bounds the simulation (the engine
-// aborts cooperatively at round granularity), fp attaches a fault profile
-// (the zero profile skips the injection layer entirely), and obs an
-// optional radio.Observer; a nil observer costs nothing. When a
-// trace.Tracer is installed on ctx, the run additionally samples the
-// scheduler loop into round slices (radio.RunPerf.SliceEvery) and emits
-// them as "engine.rounds" spans under ctx's current span; with no tracer
-// the run is bit-identical and pays one context lookup.
+// the raw simulation outcome into an MIS result; Run resolves here. ctx
+// bounds the simulation (the engine aborts cooperatively at round
+// granularity), fp attaches a fault profile (the zero profile skips the
+// injection layer entirely), and obs an optional radio.Observer; a nil
+// observer costs nothing. When a trace.Tracer is installed on ctx, the
+// run additionally samples the scheduler loop into round slices
+// (radio.RunPerf.SliceEvery) and emits them as "engine.rounds" spans
+// under ctx's current span; with no tracer the run is bit-identical and
+// pays one context lookup.
 func runProgramObserved(ctx context.Context, g *graph.Graph, model radio.Model, seed uint64, fp faults.Profile, obs radio.Observer, program radio.Program) (*Result, error) {
 	cfg := radio.Config{Model: model, Ctx: ctx, Seed: seed, Faults: fp, Observer: obs}
 	tr := trace.FromContext(ctx)
@@ -116,15 +117,27 @@ func emitEngineSpans(tr *trace.Tracer, parent trace.SpanContext, perf *radio.Run
 	}
 }
 
-// newResult converts a raw simulation result into an MIS result. Nodes the
-// fault layer terminally crashed get StatusCrashed — their program output
-// never materialized, so whatever the engine recorded for them is
-// meaningless and must not be read as a verdict.
+// newResult converts a raw simulation result into an MIS result.
 func newResult(rr *radio.Result) *Result {
+	res := new(Result)
+	res.fill(rr)
+	return res
+}
+
+// fill sets res to the MIS result of rr, reusing res's Status and InMIS
+// storage; Energy and DecisionRound alias rr's. Nodes the fault layer
+// terminally crashed get StatusCrashed — their program output never
+// materialized, so whatever the engine recorded for them is meaningless
+// and must not be read as a verdict.
+func (res *Result) fill(rr *radio.Result) {
 	n := len(rr.Outputs)
-	res := &Result{
-		Status:        make([]Status, n),
-		InMIS:         make([]bool, n),
+	status, inMIS := res.Status, res.InMIS
+	if cap(status) < n || cap(inMIS) < n {
+		status, inMIS = make([]Status, n), make([]bool, n)
+	}
+	*res = Result{
+		Status:        status[:n],
+		InMIS:         inMIS[:n],
 		Energy:        rr.Energy,
 		DecisionRound: rr.HaltRound,
 		Rounds:        rr.Rounds,
@@ -132,20 +145,32 @@ func newResult(rr *radio.Result) *Result {
 		Faults:        rr.Faults,
 	}
 	for i, out := range rr.Outputs {
-		if rr.Crashed != nil && rr.Crashed[i] {
-			res.Status[i] = StatusCrashed
-			continue
-		}
 		s := Status(out)
+		if rr.Crashed != nil && rr.Crashed[i] {
+			s = StatusCrashed
+		}
 		res.Status[i] = s
-		switch s {
-		case StatusInMIS:
-			res.InMIS[i] = true
-		case StatusUndecided:
+		res.InMIS[i] = s == StatusInMIS
+		if s == StatusUndecided {
 			res.Undecided++
 		}
 	}
-	return res
+}
+
+// clone returns a deep copy of r, for a caller that keeps a Result handed
+// over in reused storage.
+func (r *Result) clone() *Result {
+	c := *r
+	c.Status = slices.Clone(r.Status)
+	c.InMIS = slices.Clone(r.InMIS)
+	c.Energy = slices.Clone(r.Energy)
+	c.DecisionRound = slices.Clone(r.DecisionRound)
+	c.Crashed = slices.Clone(r.Crashed)
+	if r.Faults != nil {
+		f := *r.Faults
+		c.Faults = &f
+	}
+	return &c
 }
 
 // MaxEnergy returns the worst-case per-node energy of the run.

@@ -95,21 +95,19 @@ type laneEvent struct {
 	lanes uint64
 }
 
-// LockstepBatch is the outcome of one RunLockstep call: per-lane results
-// and per-lane errors.
-type LockstepBatch struct {
-	// Results holds one Result per lane, in seed order. A lane's Result
-	// is always non-nil; on a lane error it carries the partial state at
-	// the point the lane died (matching the scalar engine's behavior for
-	// the same error). Per-node halt rounds are in Result.HaltRound, as in
-	// a scalar run.
-	Results []*Result
-	// Errs holds the lane's terminal error, nil for lanes that ran to
-	// completion. Lane errors match the scalar engine's: ErrMaxRounds
-	// when the lane's next event would be at or past the round cap,
-	// ErrAborted (wrapping the context cause) on cancellation.
-	Errs []error
-}
+// LaneFunc receives one lane's outcome from RunLockstep: the lane's index
+// in seed order, its Result, and its terminal error, nil for a lane that
+// ran to completion. Lane errors match the scalar engine's: ErrMaxRounds
+// when the lane's next event would be at or past the round cap,
+// ErrAborted (wrapping the context cause) on cancellation; on a lane
+// error res carries the partial state at the point the lane died. Per-node
+// halt rounds are in res.HaltRound, as in a scalar run.
+//
+// res and its slices live in the engine's scratch and are rewritten for
+// the next lane: they are valid only until LaneFunc returns, so copy what
+// you keep. A non-nil return stops the batch, and RunLockstep returns
+// that error unchanged.
+type LaneFunc func(lane int, res *Result, err error) error
 
 // lockstep is one run's lockstep scheduler state. Like sched, it is
 // reusable: a Pool keeps one and rebinds it across batches so all scratch
@@ -132,13 +130,16 @@ type lockstep struct {
 	evLen  []uint8
 
 	// Energy per (node, lane), indexed [node*MaxLanes + lane] so one
-	// node's lanes share cache lines; transposed at the end of the run.
-	energy []uint64
+	// node's lanes share cache lines; deliver transposes one lane at a
+	// time into laneEnergy.
+	energy     []uint64
+	laneEnergy []uint64
 
-	// Outputs and halt rounds in the returned [lane*n + node] layout:
-	// allocated per batch by bind and handed to the caller by results.
+	// Outputs and halt rounds in the [lane*n + node] layout that deliver
+	// hands over lane by lane, and the Result it hands over them in.
 	outs  []int64
 	haltR []uint64
+	res   Result
 
 	// Per-node lane masks.
 	heard  []uint64 // latest reception, updated only at listener lanes
@@ -166,11 +167,13 @@ type lockstep struct {
 }
 
 // RunLockstep simulates len(seeds) lanes of lp on g under cfg. Lane l is
-// the trial with seed seeds[l]; at most MaxLanes seeds per call. The
-// batch-level error reports setup problems (bad model, too many seeds,
-// WakeRound mismatch, unsupported Config fields) and a lane program that
-// left a due lane without an action; per-lane simulation errors land in
-// LockstepBatch.Errs.
+// the trial with seed seeds[l]; at most MaxLanes seeds per call. Once the
+// batch has run, each is called with every lane's Result and error, in
+// lane order, until it returns an error. The returned error reports setup
+// problems (bad model, too many seeds, WakeRound mismatch, unsupported
+// Config fields) and a lane program that left a due lane without an
+// action, both before any call of each, or is the error each returned;
+// per-lane simulation errors reach each.
 //
 // Supported Config fields: Model, Ctx (cancellation + Pool lookup), Seed
 // is ignored (seeds come per lane), MaxRounds, WakeRound (shared by all
@@ -180,52 +183,65 @@ type lockstep struct {
 // ignored (the lockstep coordinator is single-threaded: its parallelism is
 // the lanes).
 //
-// Attach a Pool (WithPool) to reuse the engine's scratch and CSR snapshot
-// across batches, exactly like scalar Run.
-func RunLockstep(g *graph.Graph, cfg Config, lp LaneProgram, seeds []uint64) (*LockstepBatch, error) {
+// Attach a Pool (WithPool) to reuse the engine's scratch, result buffers
+// and CSR snapshot across batches, exactly like scalar Run.
+func RunLockstep(g *graph.Graph, cfg Config, lp LaneProgram, seeds []uint64, each LaneFunc) error {
 	if cfg.Model < ModelCD || cfg.Model > ModelBeep {
-		return nil, fmt.Errorf("radio: invalid model %v", cfg.Model)
+		return fmt.Errorf("radio: invalid model %v", cfg.Model)
 	}
 	if len(seeds) > MaxLanes {
-		return nil, fmt.Errorf("radio: RunLockstep got %d seeds, max %d lanes", len(seeds), MaxLanes)
+		return fmt.Errorf("radio: RunLockstep got %d seeds, max %d lanes", len(seeds), MaxLanes)
 	}
 	if cfg.Observer != nil {
-		return nil, fmt.Errorf("radio: RunLockstep does not support observers; use the scalar engine")
+		return fmt.Errorf("radio: RunLockstep does not support observers; use the scalar engine")
 	}
 	if !cfg.Faults.IsZero() {
-		return nil, fmt.Errorf("radio: RunLockstep does not support fault injection; use the scalar engine")
+		return fmt.Errorf("radio: RunLockstep does not support fault injection; use the scalar engine")
 	}
 	n := g.N()
 	if cfg.WakeRound != nil && len(cfg.WakeRound) != n {
-		return nil, fmt.Errorf("radio: WakeRound has %d entries, graph has %d nodes", len(cfg.WakeRound), n)
+		return fmt.Errorf("radio: WakeRound has %d entries, graph has %d nodes", len(cfg.WakeRound), n)
 	}
 	maxRounds := cfg.MaxRounds
 	if maxRounds == 0 {
 		maxRounds = DefaultMaxRounds
 	}
 	if len(seeds) == 0 {
-		return &LockstepBatch{Results: []*Result{}, Errs: []error{}}, nil
+		return nil
 	}
 
 	lp.Bind(n, seeds)
 
 	if pool := poolFrom(cfg.Ctx); pool != nil {
-		return pool.runLockstep(g, &cfg, lp, len(seeds), maxRounds)
+		return pool.runLockstep(g, &cfg, lp, len(seeds), maxRounds, each)
 	}
 	var ls lockstep
 	ls.bind(g, graph.BuildCSR(g), &cfg, len(seeds), maxRounds)
-	return ls.run(lp)
+	return ls.run(lp, each)
 }
 
 // runLockstep executes one lockstep batch on the pool's reused scratch and
-// CSR cache. Lockstep batches serialize with scalar runs on the pool's
-// mutex, like any other pooled run.
-func (p *Pool) runLockstep(g *graph.Graph, cfg *Config, lp LaneProgram, lanes int, maxRounds uint64) (*LockstepBatch, error) {
+// CSR cache. The pool lends its lockstep scratch to the batch and takes it
+// back afterwards, holding its mutex only for the hand-over, so each never
+// runs under the pool's lock and may itself run on the pool; a batch that
+// finds the scratch lent out (a nested or concurrent one) runs on fresh
+// scratch.
+func (p *Pool) runLockstep(g *graph.Graph, cfg *Config, lp LaneProgram, lanes int, maxRounds uint64, each LaneFunc) error {
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	csr, _ := p.snapshot(g)
-	p.lk.bind(g, csr, cfg, lanes, maxRounds)
-	return p.lk.run(lp)
+	ls := p.lk
+	p.lk = nil
+	p.mu.Unlock()
+	if ls == nil {
+		ls = new(lockstep)
+	}
+	defer func() {
+		p.mu.Lock()
+		p.lk = ls
+		p.mu.Unlock()
+	}()
+	ls.bind(g, csr, cfg, lanes, maxRounds)
+	return ls.run(lp, each)
 }
 
 // bind (re)points the lockstep scheduler at one batch, resizing and
@@ -259,8 +275,16 @@ func (ls *lockstep) bind(g *graph.Graph, csr *graph.CSR, cfg *Config, lanes int,
 	ls.events = ls.events[:grow]
 	ls.energy = ls.energy[:grow]
 	clear(ls.energy)
-	ls.outs = make([]int64, lanes*n)
-	ls.haltR = make([]uint64, lanes*n)
+	// A lane that dies early leaves its unhalted nodes at 0, as a fresh
+	// scalar run does.
+	if cap(ls.outs) < lanes*n {
+		ls.outs = make([]int64, lanes*n)
+		ls.haltR = make([]uint64, lanes*n)
+	}
+	ls.outs = ls.outs[:lanes*n]
+	ls.haltR = ls.haltR[:lanes*n]
+	clear(ls.outs)
+	clear(ls.haltR)
 
 	if cap(ls.heard) < n {
 		ls.heard = make([]uint64, n)
@@ -309,8 +333,14 @@ func (ls *lockstep) bind(g *graph.Graph, csr *graph.CSR, cfg *Config, lanes int,
 	}
 }
 
-// run drives the batch to completion and assembles the per-lane results.
-func (ls *lockstep) run(lp LaneProgram) (*LockstepBatch, error) {
+// unbind drops the references bind and deliver took to one batch,
+// keeping the buffers.
+func (ls *lockstep) unbind() {
+	ls.csr, ls.ctx, ls.done, ls.res = nil, nil, nil, Result{}
+}
+
+// run drives the batch to completion and delivers the per-lane results.
+func (ls *lockstep) run(lp LaneProgram, each LaneFunc) error {
 	for ls.aliveMask != 0 {
 		select {
 		case <-ls.done:
@@ -340,10 +370,10 @@ func (ls *lockstep) run(lp LaneProgram) (*LockstepBatch, error) {
 		}
 		ls.round = r
 		if err := ls.stepRound(r, lp); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return ls.results(), nil
+	return ls.deliver(each)
 }
 
 // nextRound returns the earliest round with a scheduled event.
@@ -561,31 +591,30 @@ func (ls *lockstep) receive() {
 	}
 }
 
-// results assembles one Result per lane. Outputs and halt rounds are
-// already in their returned layout; energy is transposed from the
-// per-(node, lane) scratch. All lanes share three backing arrays (one per
-// field), so a 64-lane batch costs a handful of allocations, not 3×64.
-func (ls *lockstep) results() *LockstepBatch {
-	n, lanes := ls.n, ls.lanes
-	energy := make([]uint64, lanes*n)
-	batch := &LockstepBatch{
-		Results: make([]*Result, lanes),
-		Errs:    make([]error, lanes),
+// deliver hands each lane's Result to each, in lane order. Outputs and
+// halt rounds are handed over in place; energy is transposed from the
+// per-(node, lane) scratch into one n-entry buffer that every lane reuses,
+// so a batch allocates nothing once the scratch has grown.
+func (ls *lockstep) deliver(each LaneFunc) error {
+	n := ls.n
+	if cap(ls.laneEnergy) < n {
+		ls.laneEnergy = make([]uint64, n)
 	}
-	for l := 0; l < lanes; l++ {
+	energy := ls.laneEnergy[:n]
+	for l := 0; l < ls.lanes; l++ {
+		for v := range energy {
+			energy[v] = ls.energy[v*MaxLanes+l]
+		}
 		lo, hi := l*n, (l+1)*n
-		res := &Result{
+		ls.res = Result{
 			Outputs:   ls.outs[lo:hi:hi],
-			Energy:    energy[lo:hi:hi],
+			Energy:    energy,
 			HaltRound: ls.haltR[lo:hi:hi],
 			Rounds:    ls.laneRounds[l],
 		}
-		for v := 0; v < n; v++ {
-			res.Energy[v] = ls.energy[v*MaxLanes+l]
+		if err := each(l, &ls.res, ls.laneErrs[l]); err != nil {
+			return err
 		}
-		batch.Results[l] = res
-		batch.Errs[l] = ls.laneErrs[l]
 	}
-	ls.outs, ls.haltR = nil, nil // the caller owns them now
-	return batch
+	return nil
 }

@@ -38,15 +38,12 @@ func BenchmarkRunLockstep(b *testing.B) {
 					for l := range seeds {
 						seeds[l] = uint64(i*MaxLanes + l)
 					}
-					batch, err := RunLockstep(g, Config{Model: ModelCD, Ctx: ctx}, lp, seeds)
+					err := RunLockstep(g, Config{Model: ModelCD, Ctx: ctx}, lp, seeds, func(_ int, res *Result, lerr error) error {
+						rounds += res.Rounds
+						return lerr
+					})
 					if err != nil {
 						b.Fatal(err)
-					}
-					for l, lerr := range batch.Errs {
-						if lerr != nil {
-							b.Fatal(lerr)
-						}
-						rounds += batch.Results[l].Rounds
 					}
 				}
 				trials := float64(b.N) * MaxLanes

@@ -7,6 +7,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"radiomis/internal/graph"
@@ -352,34 +353,31 @@ func runBothLockstep(t *testing.T, g *graph.Graph, cfg Config, pair lanePair, se
 		want[l] = scalarOut{res: res, err: err, halts: halts}
 	}
 
-	check := func(t *testing.T, label string, batch *LockstepBatch, err error) {
+	check := func(t *testing.T, label string, results []*Result, errs []error, err error) {
 		t.Helper()
 		if err != nil {
 			t.Fatalf("%s: RunLockstep: %v", label, err)
 		}
-		if len(batch.Results) != len(seeds) {
-			t.Fatalf("%s: got %d lane results, want %d", label, len(batch.Results), len(seeds))
-		}
 		for l := range seeds {
 			w := want[l]
-			lerr := batch.Errs[l]
+			lerr := errs[l]
 			if (lerr == nil) != (w.err == nil) || (lerr != nil && lerr.Error() != w.err.Error()) {
 				t.Fatalf("%s: lane %d error = %v, scalar = %v", label, l, lerr, w.err)
 			}
 			if lerr != nil {
 				continue // errored runs leave the Result unspecified
 			}
-			if !reflect.DeepEqual(batch.Results[l], w.res) {
-				t.Fatalf("%s: lane %d Result diverges from scalar\n got: %+v\nwant: %+v", label, l, batch.Results[l], w.res)
+			if !reflect.DeepEqual(results[l], w.res) {
+				t.Fatalf("%s: lane %d Result diverges from scalar\n got: %+v\nwant: %+v", label, l, results[l], w.res)
 			}
-			if !reflect.DeepEqual(batch.Results[l].HaltRound, w.halts) {
-				t.Fatalf("%s: lane %d halt rounds diverge from the scalar observer's\n got: %v\nwant: %v", label, l, batch.Results[l].HaltRound, w.halts)
+			if !reflect.DeepEqual(results[l].HaltRound, w.halts) {
+				t.Fatalf("%s: lane %d halt rounds diverge from the scalar observer's\n got: %v\nwant: %v", label, l, results[l].HaltRound, w.halts)
 			}
 		}
 	}
 
-	batch, err := RunLockstep(g, cfg, pair.lane(), seeds)
-	check(t, "standalone", batch, err)
+	results, errs, err := collectLockstep(g, cfg, pair.lane(), seeds)
+	check(t, "standalone", results, errs, err)
 
 	pool := NewPool(2)
 	defer pool.Close()
@@ -390,9 +388,36 @@ func runBothLockstep(t *testing.T, g *graph.Graph, cfg Config, pair lanePair, se
 	for trial := 0; trial < 2; trial++ {
 		c := cfg
 		c.Ctx = WithPool(base, pool)
-		batch, err := RunLockstep(g, c, pair.lane(), seeds)
-		check(t, fmt.Sprintf("pool trial=%d", trial), batch, err)
+		results, errs, err := collectLockstep(g, c, pair.lane(), seeds)
+		check(t, fmt.Sprintf("pool trial=%d", trial), results, errs, err)
 	}
+}
+
+// collectLockstep runs one RunLockstep batch and copies every lane's
+// Result and error out inside the callback. The Result the engine hands
+// over lives in its scratch and is rewritten for the next lane, so two
+// batches compared by reference would compare a buffer with itself.
+// Every lane must reach the callback exactly once, in lane order.
+func collectLockstep(g *graph.Graph, cfg Config, lp LaneProgram, seeds []uint64) ([]*Result, []error, error) {
+	results := make([]*Result, 0, len(seeds))
+	errs := make([]error, 0, len(seeds))
+	err := RunLockstep(g, cfg, lp, seeds, func(l int, res *Result, lerr error) error {
+		if l != len(results) {
+			return fmt.Errorf("lane %d delivered after %d lanes", l, len(results))
+		}
+		results = append(results, &Result{
+			Outputs:   slices.Clone(res.Outputs),
+			Energy:    slices.Clone(res.Energy),
+			HaltRound: slices.Clone(res.HaltRound),
+			Rounds:    res.Rounds,
+		})
+		errs = append(errs, lerr)
+		return nil
+	})
+	if err == nil && len(results) != len(seeds) {
+		err = fmt.Errorf("got %d lane results, want %d", len(results), len(seeds))
+	}
+	return results, errs, err
 }
 
 func laneSeeds(n int, salt uint64) []uint64 {
@@ -493,12 +518,12 @@ func TestLockstepParityMaxRounds(t *testing.T) {
 	seeds := laneSeeds(64, 77)
 	runBothLockstep(t, g, Config{Model: ModelCD, MaxRounds: 50}, pair, seeds)
 
-	batch, err := RunLockstep(g, Config{Model: ModelCD, MaxRounds: 50}, &spinLaneProgram{}, seeds)
+	_, errs, err := collectLockstep(g, Config{Model: ModelCD, MaxRounds: 50}, &spinLaneProgram{}, seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
 	capped := 0
-	for _, lerr := range batch.Errs {
+	for _, lerr := range errs {
 		if lerr != nil {
 			if !errors.Is(lerr, ErrMaxRounds) {
 				t.Fatalf("lane error = %v, want ErrMaxRounds", lerr)
@@ -508,6 +533,27 @@ func TestLockstepParityMaxRounds(t *testing.T) {
 	}
 	if capped == 0 || capped == len(seeds) {
 		t.Fatalf("want a mixed batch, got %d/%d capped lanes", capped, len(seeds))
+	}
+
+	// A capped lane's partial Result on a pool whose buffers an earlier
+	// batch filled must equal the one on fresh scratch: no output or halt
+	// round of the earlier batch shows through for an unhalted node.
+	fresh, _, err := collectLockstep(g, Config{Model: ModelCD, MaxRounds: 50}, &spinLaneProgram{}, seeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := NewPool(1)
+	defer pool.Close()
+	ctx := WithPool(context.Background(), pool)
+	if _, _, err := collectLockstep(g, Config{Model: ModelCD, Ctx: ctx}, &benchLaneProgram{}, laneSeeds(MaxLanes, 78)); err != nil {
+		t.Fatal(err)
+	}
+	pooled, _, err := collectLockstep(g, Config{Model: ModelCD, MaxRounds: 50, Ctx: ctx}, &spinLaneProgram{}, seeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(pooled, fresh) {
+		t.Fatal("capped lanes on a reused pool carry another batch's outputs or halt rounds")
 	}
 }
 
@@ -557,7 +603,7 @@ func TestLockstepEventListFull(t *testing.T) {
 	ls.bind(g, graph.BuildCSR(g), &cfg, len(seeds), DefaultMaxRounds)
 	probe := &eventProbe{LaneProgram: &spreadLaneProgram{}, ls: &ls}
 	probe.Bind(g.N(), seeds)
-	if _, err := ls.run(probe); err != nil {
+	if err := ls.run(probe, func(int, *Result, error) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if probe.longest != MaxLanes {
@@ -615,12 +661,13 @@ func TestLockstepSleepZeroClamp(t *testing.T) {
 	pool := NewPool(1)
 	defer pool.Close()
 	for _, ctx := range []context.Context{context.Background(), WithPool(context.Background(), pool)} {
-		batch, err := RunLockstep(g, Config{Model: ModelCD, Ctx: ctx}, &noActionLaneProgram{}, laneSeeds(MaxLanes, 1))
+		err := RunLockstep(g, Config{Model: ModelCD, Ctx: ctx}, &noActionLaneProgram{}, laneSeeds(MaxLanes, 1),
+			func(l int, _ *Result, _ error) error {
+				t.Fatalf("failed batch delivered lane %d", l)
+				return nil
+			})
 		if err == nil || err.Error() != want {
 			t.Fatalf("err = %v, want %q", err, want)
-		}
-		if batch != nil {
-			t.Fatalf("failed batch returned results: %+v", batch)
 		}
 	}
 	// The pool serves a correct program after the failed batch.
@@ -632,11 +679,11 @@ func TestLockstepCancellation(t *testing.T) {
 	g := graph.Cycle(64)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	batch, err := RunLockstep(g, Config{Model: ModelCD, Ctx: ctx}, &spinLaneProgram{}, laneSeeds(8, 1))
+	_, errs, err := collectLockstep(g, Config{Model: ModelCD, Ctx: ctx}, &spinLaneProgram{}, laneSeeds(8, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for l, lerr := range batch.Errs {
+	for l, lerr := range errs {
 		if !errors.Is(lerr, ErrAborted) || !errors.Is(lerr, context.Canceled) {
 			t.Fatalf("lane %d error = %v, want ErrAborted wrapping context.Canceled", l, lerr)
 		}
@@ -646,22 +693,21 @@ func TestLockstepCancellation(t *testing.T) {
 func TestLockstepRejectsScalarOnlyConfig(t *testing.T) {
 	g := graph.Cycle(8)
 	seeds := laneSeeds(2, 1)
-	if _, err := RunLockstep(g, Config{Model: ModelCD, Observer: MultiObserver{}}, &benchLaneProgram{}, seeds); err == nil {
+	if _, _, err := collectLockstep(g, Config{Model: ModelCD, Observer: MultiObserver{}}, &benchLaneProgram{}, seeds); err == nil {
 		t.Fatal("observer config should be rejected")
 	}
-	if _, err := RunLockstep(g, Config{Model: Model(99)}, &benchLaneProgram{}, seeds); err == nil {
+	if _, _, err := collectLockstep(g, Config{Model: Model(99)}, &benchLaneProgram{}, seeds); err == nil {
 		t.Fatal("invalid model should be rejected")
 	}
-	if _, err := RunLockstep(g, Config{Model: ModelCD}, &benchLaneProgram{}, make([]uint64, 65)); err == nil {
+	if _, _, err := collectLockstep(g, Config{Model: ModelCD}, &benchLaneProgram{}, make([]uint64, 65)); err == nil {
 		t.Fatal("more than MaxLanes seeds should be rejected")
 	}
 }
 
 // TestLockstepPooledSteadyStateAllocs pins the lane path's steady-state
-// allocation budget: a warm pooled batch allocates only what it returns
-// (the outputs and halt-round arrays bind allocates, the energy array
-// results transposes into, and one Result header per lane) — nothing per
-// round or per node.
+// allocation budget: a warm pooled batch hands every lane's Result over in
+// the pool's buffers, so it allocates nothing per round, per node or per
+// lane. The budget leaves room for the deferred hand-back of the scratch.
 func TestLockstepPooledSteadyStateAllocs(t *testing.T) {
 	g := graph.GNP(512, 8.0/512, rand.New(rand.NewSource(7)))
 	pool := NewPool(1)
@@ -670,18 +716,81 @@ func TestLockstepPooledSteadyStateAllocs(t *testing.T) {
 	lp := &benchLaneProgram{}
 	seeds := laneSeeds(64, 2)
 	cfg := Config{Model: ModelCD, Ctx: ctx}
-	if _, err := RunLockstep(g, cfg, lp, seeds); err != nil {
+	var rounds uint64
+	each := func(_ int, res *Result, err error) error {
+		rounds += res.Rounds
+		return err
+	}
+	if err := RunLockstep(g, cfg, lp, seeds, each); err != nil {
 		t.Fatal(err) // warm-up: grows pool scratch and the program's state
 	}
 	avg := testing.AllocsPerRun(5, func() {
-		if _, err := RunLockstep(g, cfg, lp, seeds); err != nil {
+		if err := RunLockstep(g, cfg, lp, seeds, each); err != nil {
 			t.Fatal(err)
 		}
 	})
-	// 64 Result headers + 3 shared backing arrays + 3 batch slices + the
-	// batch header ≈ 71; anything near per-round or per-node counts
-	// (hundreds+) means the engine started allocating on the hot path.
-	if avg > 90 {
-		t.Fatalf("steady-state pooled lockstep batch allocates %.0f times, want ≤ 90 (result assembly only)", avg)
+	if avg > 2 {
+		t.Fatalf("steady-state pooled lockstep batch allocates %.0f times, want ≤ 2", avg)
+	}
+}
+
+// TestLockstepCallbackErrorStopsBatch checks that a LaneFunc error ends
+// the batch with exactly that error, after the lanes before it, and that
+// the pool then serves a correct batch.
+func TestLockstepCallbackErrorStopsBatch(t *testing.T) {
+	g := graph.Cycle(40)
+	pool := NewPool(1)
+	defer pool.Close()
+	cfg := Config{Model: ModelCD, Ctx: WithPool(context.Background(), pool)}
+	stop := errors.New("stop")
+	var lanes []int
+	err := RunLockstep(g, cfg, &benchLaneProgram{}, laneSeeds(MaxLanes, 4), func(l int, _ *Result, _ error) error {
+		lanes = append(lanes, l)
+		if l == 5 {
+			return stop
+		}
+		return nil
+	})
+	if err != stop {
+		t.Fatalf("err = %v, want the callback's error unchanged", err)
+	}
+	if !reflect.DeepEqual(lanes, []int{0, 1, 2, 3, 4, 5}) {
+		t.Fatalf("delivered lanes %v, want 0..5", lanes)
+	}
+	runBothLockstep(t, g, cfg, lockstepPairs()["bench"], laneSeeds(MaxLanes, 5))
+}
+
+// TestLockstepNestedOnPool runs a batch from inside another batch's
+// callback on the same pool: the outer batch has lent the pool's scratch
+// out, so the inner one runs on fresh scratch, and neither disturbs the
+// other's results.
+func TestLockstepNestedOnPool(t *testing.T) {
+	g := graph.GNP(96, 6.0/96, rand.New(rand.NewSource(3)))
+	pair := lockstepPairs()["drowsy"]
+	seeds := laneSeeds(8, 6)
+	want, _, err := collectLockstep(g, Config{Model: ModelCD}, pair.lane(), seeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := NewPool(1)
+	defer pool.Close()
+	cfg := Config{Model: ModelCD, Ctx: WithPool(context.Background(), pool)}
+	err = RunLockstep(g, cfg, pair.lane(), seeds, func(l int, res *Result, lerr error) error {
+		if l == 3 {
+			inner, _, err := collectLockstep(g, cfg, pair.lane(), seeds)
+			if err != nil {
+				return err
+			}
+			if !reflect.DeepEqual(inner, want) {
+				return fmt.Errorf("nested batch diverges from a standalone one")
+			}
+		}
+		if !reflect.DeepEqual(res, want[l]) {
+			return fmt.Errorf("lane %d diverges after a nested batch", l)
+		}
+		return lerr
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

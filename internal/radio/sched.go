@@ -155,6 +155,12 @@ type sched struct {
 	ws *workerSet // nil means all phases run inline on the coordinator
 }
 
+// unbind drops the references bind took to one run, keeping the buffers.
+func (s *sched) unbind() {
+	s.g, s.csr, s.obs, s.inj, s.envs, s.res, s.perf = nil, nil, nil, nil, nil, nil, nil
+	s.done, s.ctx = nil, nil
+}
+
 // phaseKind selects the work a worker performs on its shard.
 type phaseKind int
 

@@ -34,12 +34,17 @@ func WithPprof() HandlerOption {
 //
 //	POST   /v1/jobs             submit a job (202 created, 200 cache/dedup hit,
 //	                            400 invalid, 429 queue full, 503 draining)
-//	GET    /v1/jobs             list all known jobs
+//	GET    /v1/jobs             list the queued, running and newest finished jobs
 //	GET    /v1/jobs/{id}        job status and, when done, its result
 //	DELETE /v1/jobs/{id}        cancel a queued or running job
 //	GET    /v1/jobs/{id}/events stream progress as JSON lines (follows until
 //	                            the job is terminal; idle streams carry
 //	                            periodic {"ev":"heartbeat"} keep-alives)
+//
+// The three /v1/jobs/{id} routes answer 404 for an ID never issued and
+// 410 Gone for a finished job evicted from the history, which keeps the
+// newest 1,024 finished jobs.
+//
 //	POST   /v1/schedule         peel a conflict graph into independent batches,
 //	                            synchronously (200 plan, 400 invalid); identical
 //	                            requests replay from an LRU plan cache
@@ -72,7 +77,7 @@ func NewHandler(m *Manager, opts ...HandlerOption) http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		j, ok := m.Job(r.PathValue("id"))
 		if !ok {
-			writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
+			writeMissingJob(m, w, r.PathValue("id"))
 			return
 		}
 		writeJSON(w, http.StatusOK, j.Status())
@@ -80,7 +85,7 @@ func NewHandler(m *Manager, opts ...HandlerOption) http.Handler {
 	mux.HandleFunc("DELETE /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		j, ok := m.Cancel(r.PathValue("id"))
 		if !ok {
-			writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
+			writeMissingJob(m, w, r.PathValue("id"))
 			return
 		}
 		writeJSON(w, http.StatusOK, j.Status())
@@ -242,10 +247,20 @@ func handleSchedule(m *Manager, w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, res)
 }
 
+// writeMissingJob answers a request for a job the manager does not hold:
+// 410 Gone for one evicted from the finished-job history, 404 otherwise.
+func writeMissingJob(m *Manager, w http.ResponseWriter, id string) {
+	if m.evicted(id) {
+		writeError(w, http.StatusGone, "job %q was evicted: the daemon keeps only the newest %d finished jobs", id, maxFinishedJobs)
+		return
+	}
+	writeError(w, http.StatusNotFound, "unknown job %q", id)
+}
+
 func handleEvents(m *Manager, w http.ResponseWriter, r *http.Request) {
 	j, ok := m.Job(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
+		writeMissingJob(m, w, r.PathValue("id"))
 		return
 	}
 	heartbeatLine, _ := json.Marshal(heartbeatEvent{Ev: "heartbeat"})

@@ -113,9 +113,16 @@ type Metrics struct {
 	Workers       int    // configured worker count
 }
 
+// maxFinishedJobs caps the finished jobs a Manager keeps for GET
+// /v1/jobs/{id}, about 3 MB of status, result and event lines. Beyond it
+// the job that finished first is evicted, and its ID answers 410 Gone;
+// queued and running jobs are never evicted.
+const maxFinishedJobs = 1024
+
 // Manager owns the job lifecycle: a bounded queue feeding a fixed worker
 // pool, a single-flight table coalescing identical in-flight submissions,
-// and an LRU cache serving identical resubmissions without re-running.
+// an LRU cache serving identical resubmissions without re-running, and a
+// history of the newest maxFinishedJobs finished jobs.
 type Manager struct {
 	opts Options
 
@@ -124,7 +131,8 @@ type Manager struct {
 
 	mu       sync.Mutex // guards everything below (and is never held while running a job)
 	jobs     map[string]*Job
-	order    []string        // job IDs in submission order
+	order    []string        // job IDs in submission order; may hold evicted IDs until compacted
+	finished []string        // kept finished job IDs, oldest-finished first
 	inflight map[string]*Job // canonical key → queued-or-running job
 	cache    *lruCache[*JobResult]
 	queue    chan *Job
@@ -502,6 +510,7 @@ func (m *Manager) Submit(ctx context.Context, req JobRequest) (job *Job, created
 		j.startedAt = time.Now()
 		j.setStateLocked(StateDone, "")
 		j.mu.Unlock()
+		m.retireLocked(j)
 		j.span.End()
 		m.opts.Logger.Info("job served from cache", j.logArgs("kind", req.Kind)...)
 		return j, true, nil
@@ -557,13 +566,52 @@ func (m *Manager) Job(id string) (*Job, bool) {
 	return j, ok
 }
 
-// Jobs returns status snapshots of every known job in submission order.
+// evicted reports whether id names a job this manager issued and has
+// since evicted from its finished-job history. Job IDs are sequential, so
+// an issued ID the manager no longer holds was evicted (or was rejected at
+// submission, and never reached a client); an ID never issued is not.
+func (m *Manager) evicted(id string) bool {
+	seq, ok := parseJobID(id)
+	if !ok || seq < 1 || id != fmt.Sprintf("j%06d", seq) {
+		return false
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	_, kept := m.jobs[id]
+	return seq <= m.seq && !kept
+}
+
+// retireLocked records that j reached a terminal state and evicts the
+// jobs that finished first once more than maxFinishedJobs are kept.
+// Callers hold m.mu.
+func (m *Manager) retireLocked(j *Job) {
+	m.finished = append(m.finished, j.id)
+	for len(m.finished) > maxFinishedJobs {
+		delete(m.jobs, m.finished[0])
+		m.finished = m.finished[1:]
+	}
+	// Evicted IDs leave order in one pass once they make up half of it,
+	// so GET /v1/jobs stays bounded at amortized O(1) per eviction.
+	if len(m.order) > 2*len(m.jobs) {
+		kept := m.order[:0]
+		for _, id := range m.order {
+			if _, ok := m.jobs[id]; ok {
+				kept = append(kept, id)
+			}
+		}
+		clear(m.order[len(kept):])
+		m.order = kept
+	}
+}
+
+// Jobs returns status snapshots of every kept job in submission order.
 func (m *Manager) Jobs() []*JobStatus {
 	m.mu.Lock()
-	ids := append([]string(nil), m.order...)
-	jobs := make([]*Job, 0, len(ids))
-	for _, id := range ids {
-		jobs = append(jobs, m.jobs[id])
+	jobs := make([]*Job, 0, len(m.jobs))
+	for _, id := range m.order {
+		if j, ok := m.jobs[id]; ok {
+			jobs = append(jobs, j)
+		}
 	}
 	m.mu.Unlock()
 	out := make([]*JobStatus, 0, len(jobs))
@@ -590,6 +638,7 @@ func (m *Manager) Cancel(id string) (*Job, bool) {
 		j.setStateLocked(StateCanceled, "canceled before start")
 		m.persistState(j, StateCanceled, "canceled before start", nil)
 		delete(m.inflight, j.key)
+		m.retireLocked(j)
 		m.met.canceled.Inc()
 		j.span.SetAttr("canceled", true)
 		j.span.End()
@@ -775,6 +824,7 @@ func (m *Manager) finish(j *Job, res *JobResult, err error) {
 	}
 	j.mu.Unlock()
 	m.persistState(j, state, errMsg, persisted)
+	m.retireLocked(j)
 	m.mu.Unlock()
 	if err != nil {
 		j.runSpan.SetAttr("error", err.Error())
@@ -829,18 +879,21 @@ func execute(ctx context.Context, req JobRequest) (*JobResult, error) {
 			reg := telemetry.FromContext(ctx)
 			agg, err = harness.RepeatBatches(ctx, hopts, radio.MaxLanes,
 				func(ctx context.Context, _ int, seeds []uint64) ([]harness.Metrics, error) {
-					results, err := mis.RunMany(req.Algorithm, g, p,
-						mis.ManyOpts{Seeds: seeds, Ctx: ctx, Engine: mis.EngineLockstep})
+					// Each lane's Result lives in reused engine buffers, so
+					// it is reduced to its metric row as it is handed over.
+					ms := make([]harness.Metrics, 0, len(seeds))
+					err := mis.RunManyFunc(req.Algorithm, g, p,
+						mis.ManyOpts{Seeds: seeds, Ctx: ctx, Engine: mis.EngineLockstep},
+						func(_ int, res *mis.Result) error {
+							ms = append(ms, solveTrialMetrics(g, res, false))
+							return nil
+						})
 					if err != nil {
 						return nil, err
 					}
-					ms := make([]harness.Metrics, len(results))
-					for i, res := range results {
-						ms[i] = solveTrialMetrics(g, res, false)
-					}
 					if reg != nil {
-						reg.Counter(MetricEngineLaneTrials, metricEngineLaneTrialsHelp).Add(uint64(len(results)))
-						reg.CountHistogram(MetricEngineLanesOccupied, metricEngineLanesOccupiedHelp).Observe(uint64(len(results)))
+						reg.Counter(MetricEngineLaneTrials, metricEngineLaneTrialsHelp).Add(uint64(len(ms)))
+						reg.CountHistogram(MetricEngineLanesOccupied, metricEngineLanesOccupiedHelp).Observe(uint64(len(ms)))
 					}
 					return ms, nil
 				})

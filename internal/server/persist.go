@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -69,12 +70,13 @@ func (m *Manager) persistRunning(j *Job) {
 }
 
 // recover rebuilds jobs from the replayed WAL records: terminal jobs are
-// re-registered (results re-warm the cache), queued/running jobs are
-// re-enqueued. Called from New before the workers start, so recovered
-// jobs run ahead of anything submitted after startup. It returns the
-// number of re-enqueued jobs.
+// re-registered (results re-warm the cache) under the finished-job cap,
+// queued/running jobs are re-enqueued. Called from New before the workers
+// start, so recovered jobs run ahead of anything submitted after startup.
+// It returns the number of re-enqueued jobs.
 func (m *Manager) recover(recs []*store.JobRecord) int {
 	requeued := 0
+	var finished []*Job
 	for _, rec := range recs {
 		var req JobRequest
 		if err := json.Unmarshal(rec.Req, &req); err != nil {
@@ -124,6 +126,7 @@ func (m *Manager) recover(recs []*store.JobRecord) int {
 			if rec.State == StateDone && res != nil {
 				m.cache.Put(key, res)
 			}
+			finished = append(finished, j)
 			continue
 		}
 
@@ -138,6 +141,15 @@ func (m *Manager) recover(recs []*store.JobRecord) int {
 		requeued++
 		m.opts.Logger.Info("wal: re-enqueued job after restart",
 			"jobId", j.id, "kind", req.Kind, "walState", rec.State)
+	}
+	// Retire the replayed finished jobs in the order they finished, so
+	// the cap evicts the same jobs it would have evicted had the daemon
+	// never restarted.
+	sort.SliceStable(finished, func(a, b int) bool {
+		return finished[a].finishedAt.Before(finished[b].finishedAt)
+	})
+	for _, j := range finished {
+		m.retireLocked(j)
 	}
 	return requeued
 }

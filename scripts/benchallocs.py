@@ -19,9 +19,18 @@ With --lockstep the input is `go test -bench BenchmarkRunLockstep
 -benchmem` output, and the check is the lockstep engine's lane-path
 contract: the pooled variant's steady-state allocs/op (one op = one
 64-lane batch, minimum across -count repeats) must stay within a fixed
-per-batch budget. The budget covers the per-lane Result objects and batch
-bookkeeping; a per-round or per-(node, lane) allocation on the hot path
-inflates allocs/op by orders of magnitude and fails the gate.
+per-batch budget. A warm pooled batch hands every lane's Result to a
+callback in the pool's buffers and allocates almost nothing; a
+per-round or per-(node, lane) allocation on the hot path inflates
+allocs/op by orders of magnitude and fails the gate.
+
+With --many the input is `go test -bench BenchmarkRunMany -benchmem`
+output (internal/mis), and the check is the radiomisd job path's
+steady-state contract: the "lockstep-cached" variant (one 64-trial cd job
+on the 32x32 grid, borrowing its radio.Pool from the process-wide cache and
+taking each lane's Result in a callback) must stay within a fixed B/op
+budget (minimum across -count repeats). Fresh per-lane result arrays or a
+pool built per call cost megabytes per op and fail the gate.
 
 This is the coarse CI guard against gross regressions (a per-round or
 per-vertex allocation inflates allocs/op by thousands). The fine-grained
@@ -44,13 +53,22 @@ SOLVE_LINE = re.compile(
 LOCKSTEP_LINE = re.compile(
     r"^BenchmarkRunLockstep/(?P<variant>[\w-]+)/(?P<work>[\w=/.]+?)(?:-\d+)?\s+\d+\s+(?P<metrics>.*)$"
 )
+MANY_LINE = re.compile(
+    r"^BenchmarkRunMany/(?P<variant>[\w-]+)/(?P<work>[\w=/.]+?)(?:-\d+)?\s+\d+\s+(?P<metrics>.*)$"
+)
 ALLOCS = re.compile(r"(\d+) allocs/op")
+BYTES = re.compile(r"(\d+) B/op")
 
-# Steady-state allocs/op budget for one pooled 64-lane lockstep batch:
-# 64 per-lane Result objects plus batch bookkeeping (~90 today), with
-# headroom for small structural changes. A per-round allocation would
-# cost thousands per op and trips this immediately.
+# Steady-state allocs/op budget for one pooled 64-lane lockstep batch
+# (a handful today: lane results go to a callback in the pool's buffers),
+# with headroom for small structural changes. A per-round allocation
+# would cost thousands per op and trips this immediately.
 LANE_ALLOC_BUDGET = 256
+
+# Steady-state B/op budget for one cached 64-trial lockstep job (about
+# 21 KB today, most of it the CSR snapshot of the job's graph). The same
+# job on a fresh pool with per-lane result arrays costs about 4.4 MB.
+MANY_BYTES_BUDGET = 64 * 1024
 
 # Allowed allocs/op increase of "perf" over "pooled": a constant for the
 # per-run timing closure plus a relative term for scheduling jitter.
@@ -140,7 +158,50 @@ def lockstep_main(src):
     return 0
 
 
+def many_main(src):
+    """--many mode: the cached RunManyFunc job path stays within its B/op budget."""
+    seen = {}  # workload -> min B/op of lockstep-cached across repeats
+    for line in src:
+        m = MANY_LINE.match(line.strip())
+        if not m or m.group("variant") != "lockstep-cached":
+            continue
+        b = BYTES.search(m.group("metrics"))
+        if not b:
+            continue
+        work, nbytes = m.group("work"), int(b.group(1))
+        seen[work] = min(seen.get(work, nbytes), nbytes)
+
+    if not seen:
+        print(
+            "benchallocs: no BenchmarkRunMany/lockstep-cached lines found "
+            "(did you pass -benchmem?)",
+            file=sys.stderr,
+        )
+        return 1
+    ok = True
+    for work, nbytes in sorted(seen.items()):
+        status = "ok" if nbytes <= MANY_BYTES_BUDGET else "REGRESSION"
+        if nbytes > MANY_BYTES_BUDGET:
+            ok = False
+        print(
+            f"{status:10}  {work}: lockstep-cached={nbytes} B/op "
+            f"(budget {MANY_BYTES_BUDGET} per 64-trial job)"
+        )
+    if not ok:
+        print(
+            "benchallocs: a cached 64-trial lockstep job allocates beyond its "
+            "steady-state budget — pool, lane twin or lane result reuse broke",
+            file=sys.stderr,
+        )
+        return 1
+    print(f"benchallocs: cached lockstep job within budget across {len(seen)} workloads")
+    return 0
+
+
 def main(argv):
+    if "--many" in argv:
+        argv = [a for a in argv if a != "--many"]
+        return many_main(open(argv[1]) if len(argv) > 1 else sys.stdin)
     if "--solvebatch" in argv:
         argv = [a for a in argv if a != "--solvebatch"]
         return solvebatch_main(open(argv[1]) if len(argv) > 1 else sys.stdin)

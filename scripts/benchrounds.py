@@ -7,7 +7,8 @@ for every workload, all engine variants report the identical rounds/op:
 - BenchmarkRun (internal/radio): the reference engine and the sharded
   scheduler, standalone and pooled;
 - BenchmarkRunMany (internal/mis): the cd lane twin on the lockstep engine,
-  fresh and pooled, against the pooled scalar engine.
+  fresh, pooled and on a cached pool with callback results, against the
+  pooled scalar engine.
 
 The metric is fully deterministic — seeds are fixed and all engines are
 bit-identical by contract — so any disagreement means an engine's
