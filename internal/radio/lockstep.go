@@ -22,12 +22,22 @@ import (
 // "≥1 transmitter" and "≥2 transmitters" per lane without examining lanes
 // individually.
 //
-// Lane scheduling never scans lanes either. Each node keeps a short list
-// of (round, lane mask) events, ascending by round with disjoint masks:
-// the head is the node's due mask, and the next head is the round the
-// node re-enters the round scheduler at. Transmitters, listeners and
-// one-round sleepers share one next-round event; longer sleepers are
-// grouped by wake round, one insertion per distinct round.
+// Lane scheduling never scans lanes either. A round calendar holds
+// (node, lane mask) entries: transmitters, listeners and one-round
+// sleepers of a node share one entry in the next-round list, and longer
+// sleepers are grouped by wake round, one entry per distinct round, in
+// that round's bucket. A small min-heap orders the pending rounds, not
+// the entries, so an entry costs an append and no bucket is ever sorted.
+// A node due in one round through several entries is stepped once: a
+// per-node round stamp merges them as the round begins.
+//
+// Per-lane accounting is node-major or bit-sliced, never a per-lane loop
+// per round. Energy is counted in bit planes, one word per bit of the
+// count and node: a round's transmit|listen mask is added to the node's
+// planes by ripple carry, and deliver expands the planes into per-lane
+// counts once per node. Outputs and halt rounds are written at
+// [node*MaxLanes + lane], next to the node's other lanes, and deliver
+// gathers each lane's entries when it hands the lane over.
 //
 // Determinism contract: lane l of RunLockstep(g, cfg, lp, seeds) produces
 // a Result bit-identical to the scalar Run(g, cfg′, program) with
@@ -82,17 +92,13 @@ type LaneActions struct {
 // payloads use the scalar engine.
 //
 // Step runs on the coordinator with no concurrency; implementations may
-// freely mutate shared state and must be deterministic.
+// freely mutate shared state and must be deterministic. The Step calls
+// of one round come in a deterministic order that the contract does not
+// fix (today the calendar's insertion order, not ascending node id), so
+// a program must not depend on it.
 type LaneProgram interface {
 	Bind(n int, seeds []uint64)
 	Step(node int, due, heard uint64, act *LaneActions)
-}
-
-// laneEvent is one entry of a node's event list: the lanes of the node
-// that act next at round.
-type laneEvent struct {
-	round uint64
-	lanes uint64
 }
 
 // LaneFunc receives one lane's outcome from RunLockstep: the lane's index
@@ -121,38 +127,44 @@ type lockstep struct {
 	lanes     int
 	n         int
 
-	// Per-node event lists. Node v's list is events[v*MaxLanes:][:evLen[v]],
-	// stored latest round first so that its head — the earliest round —
-	// is the last entry: popping the head and pushing a next-round event
-	// touch only the end. Every lane sits in at most one event of a node,
-	// so MaxLanes entries always suffice.
-	events []laneEvent
-	evLen  []uint8
+	// The round calendar. next holds the entries due at round+1, in the
+	// order the nodes were stepped; every later round with an entry has one
+	// bucket, found through bucketOf and ordered by pending, a min-heap of
+	// (round, bucket index). A node may have an entry in next and several
+	// in the bucket of one round; stamps merges them into one cur entry
+	// per node, so Step runs once per (node, round).
+	next     []laneEntry
+	cur      []laneEntry
+	pending  eventHeap // id is the bucket index; rounds are distinct
+	buckets  [][]laneEntry
+	bucketOf map[uint64]int32
+	free     []int32 // bucket indices not holding a pending round
+	stamps   []roundStamp
 
-	// Energy per (node, lane), indexed [node*MaxLanes + lane] so one
-	// node's lanes share cache lines; deliver transposes one lane at a
-	// time into laneEnergy.
+	// Energy per (node, lane), bit-sliced: planes[k*n+v] holds bit k of
+	// the count of every lane of node v, bits.Len64(maxRounds) words per
+	// node. A lane spends at most one unit per round below maxRounds, so
+	// the count never overflows them. Plane-major order keeps the low
+	// planes, which nearly every add touches, dense.
+	planes []uint64
+
+	// Energy, outputs and halt rounds per (node, lane), indexed
+	// [node*MaxLanes + lane] so one node's lanes share cache lines: halts
+	// write here, and deliver expands the planes here once per node, then
+	// gathers each lane into the n-entry lane buffers it hands over.
 	energy     []uint64
+	outs       []int64
+	haltR      []uint64
 	laneEnergy []uint64
-
-	// Outputs and halt rounds in the [lane*n + node] layout that deliver
-	// hands over lane by lane, and the Result it hands over them in.
-	outs  []int64
-	haltR []uint64
-	res   Result
+	laneOuts   []int64
+	laneHalts  []uint64
+	res        Result
 
 	// Per-node lane masks.
 	heard  []uint64 // latest reception, updated only at listener lanes
 	txMask []uint64 // lanes transmitting this round (sparse; cleared via txNodes)
 	lsMask []uint64 // lanes listening this round (sparse; cleared in receive)
 
-	// Round scheduling: each node with a pending event is queued once, at
-	// its list's head round, split like the scalar scheduler into an
-	// append-only next-round bucket (ascending id) and a heap for
-	// farther-out events.
-	heap    eventHeap
-	next    []int32
-	cur     []int32
 	txNodes []int32
 	lsNodes []int32
 
@@ -164,6 +176,20 @@ type lockstep struct {
 	laneErrs   []error
 
 	round uint64
+}
+
+// laneEntry is one calendar entry: lanes of node that act at the entry's
+// round.
+type laneEntry struct {
+	node  int32
+	lanes uint64
+}
+
+// roundStamp marks the node's entry in cur: round+1 of the round it was
+// merged in (0 never matches), and its index.
+type roundStamp struct {
+	round uint64
+	at    int32
 }
 
 // RunLockstep simulates len(seeds) lanes of lp on g under cfg. Lane l is
@@ -267,70 +293,67 @@ func (ls *lockstep) bind(g *graph.Graph, csr *graph.CSR, cfg *Config, lanes int,
 		ls.aliveMask = 1<<lanes - 1
 	}
 
-	grow := n * MaxLanes
-	if cap(ls.events) < grow {
-		ls.events = make([]laneEvent, grow)
-		ls.energy = make([]uint64, grow)
-	}
-	ls.events = ls.events[:grow]
-	ls.energy = ls.energy[:grow]
-	clear(ls.energy)
+	ls.planes = resize(ls.planes, n*bits.Len64(maxRounds))
+	clear(ls.planes)
+	ls.energy = resize(ls.energy, n*MaxLanes)
 	// A lane that dies early leaves its unhalted nodes at 0, as a fresh
 	// scalar run does.
-	if cap(ls.outs) < lanes*n {
-		ls.outs = make([]int64, lanes*n)
-		ls.haltR = make([]uint64, lanes*n)
-	}
-	ls.outs = ls.outs[:lanes*n]
-	ls.haltR = ls.haltR[:lanes*n]
+	ls.outs = resize(ls.outs, n*MaxLanes)
+	ls.haltR = resize(ls.haltR, n*MaxLanes)
 	clear(ls.outs)
 	clear(ls.haltR)
 
-	if cap(ls.heard) < n {
-		ls.heard = make([]uint64, n)
-		ls.txMask = make([]uint64, n)
-		ls.lsMask = make([]uint64, n)
-		ls.evLen = make([]uint8, n)
-	}
-	ls.heard = ls.heard[:n]
-	ls.txMask = ls.txMask[:n]
-	ls.lsMask = ls.lsMask[:n]
-	ls.evLen = ls.evLen[:n]
+	ls.heard = resize(ls.heard, n)
+	ls.txMask = resize(ls.txMask, n)
+	ls.lsMask = resize(ls.lsMask, n)
+	ls.stamps = resize(ls.stamps, n)
 	clear(ls.heard)
 	clear(ls.txMask)
 	clear(ls.lsMask)
+	clear(ls.stamps)
 
-	ls.heap = ls.heap[:0]
 	ls.next = ls.next[:0]
 	ls.cur = ls.cur[:0]
 	ls.txNodes = ls.txNodes[:0]
 	ls.lsNodes = ls.lsNodes[:0]
-
-	if cap(ls.laneActive) < lanes {
-		ls.laneActive = make([]int32, MaxLanes)
-		ls.laneRounds = make([]uint64, MaxLanes)
-		ls.laneErrs = make([]error, MaxLanes)
+	// A batch that failed or hit the cap leaves rounds pending.
+	ls.pending = ls.pending[:0]
+	ls.free = ls.free[:0]
+	for b := len(ls.buckets) - 1; b >= 0; b-- {
+		ls.buckets[b] = ls.buckets[b][:0]
+		ls.free = append(ls.free, int32(b))
 	}
-	ls.laneActive = ls.laneActive[:lanes]
-	ls.laneRounds = ls.laneRounds[:lanes]
-	ls.laneErrs = ls.laneErrs[:lanes]
+	if ls.bucketOf == nil {
+		ls.bucketOf = make(map[uint64]int32)
+	}
+	clear(ls.bucketOf)
+
+	ls.laneActive = resize(ls.laneActive, lanes)
+	ls.laneRounds = resize(ls.laneRounds, lanes)
+	ls.laneErrs = resize(ls.laneErrs, lanes)
 	for l := 0; l < lanes; l++ {
 		ls.laneActive[l] = int32(n)
 		ls.laneRounds[l] = 0
 		ls.laneErrs[l] = nil
 	}
 
-	// Every list starts as one event holding all lanes; evLen bounds each
-	// list, so entries left by the previous batch need no clearing.
+	// Every node starts with all lanes due at its wake round.
 	for v := 0; v < n; v++ {
 		var wake uint64
 		if cfg.WakeRound != nil {
 			wake = cfg.WakeRound[v]
 		}
-		ls.events[v*MaxLanes] = laneEvent{round: wake, lanes: ls.aliveMask}
-		ls.evLen[v] = 1
-		ls.heap.push(event{round: wake, id: v})
+		ls.schedule(int32(v), wake, ls.aliveMask)
 	}
+}
+
+// resize returns s with length n, reallocated only when its capacity is
+// short; the contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // unbind drops the references bind and deliver took to one batch,
@@ -381,64 +404,54 @@ func (ls *lockstep) nextRound() (uint64, bool) {
 	if len(ls.next) > 0 {
 		return ls.round + 1, true
 	}
-	if len(ls.heap) > 0 {
-		return ls.heap.peekRound(), true
+	if len(ls.pending) > 0 {
+		return ls.pending.peekRound(), true
 	}
 	return 0, false
 }
 
-// beginRound materializes the due node set for round r by merging the
-// next-round bucket with heap events landing on r; both are ascending by
-// id, so cur comes out ascending, and so does the next-round bucket that
-// stepping cur refills.
-func (ls *lockstep) beginRound(r uint64) {
-	ls.cur = ls.cur[:0]
-	ni := 0
-	for len(ls.heap) > 0 && ls.heap.peekRound() == r {
-		id := int32(ls.heap.pop().id)
-		for ni < len(ls.next) && ls.next[ni] < id {
-			ls.cur = append(ls.cur, ls.next[ni])
-			ni++
+// schedule adds lanes of node v to the bucket of round w, a round past
+// the next one (or a wake round), opening the bucket if w has none.
+func (ls *lockstep) schedule(v int32, w, lanes uint64) {
+	b, ok := ls.bucketOf[w]
+	if !ok {
+		if k := len(ls.free); k > 0 {
+			b = ls.free[k-1]
+			ls.free = ls.free[:k-1]
+		} else {
+			b = int32(len(ls.buckets))
+			ls.buckets = append(ls.buckets, nil)
 		}
-		ls.cur = append(ls.cur, id)
+		ls.bucketOf[w] = b
+		ls.pending.push(event{round: w, id: int(b)})
 	}
-	ls.cur = append(ls.cur, ls.next[ni:]...)
-	ls.next = ls.next[:0]
+	ls.buckets[b] = append(ls.buckets[b], laneEntry{node: v, lanes: lanes})
 }
 
-// reschedule re-enters node v into the round scheduler at its list's head
-// round; a node with no event left retires.
-func (ls *lockstep) reschedule(v int32, r uint64) {
-	c := int(ls.evLen[v])
-	if c == 0 {
+// beginRound makes cur the due entries of round r: the next-round list,
+// plus r's bucket if one is pending, each node's entries merged into one.
+// Neither is sorted: cur keeps insertion order.
+func (ls *lockstep) beginRound(r uint64) {
+	ls.cur, ls.next = ls.next, ls.cur[:0]
+	if len(ls.pending) == 0 || ls.pending.peekRound() != r {
 		return
 	}
-	if m := ls.events[int(v)*MaxLanes+c-1].round; m == r+1 {
-		ls.next = append(ls.next, v)
-	} else {
-		ls.heap.push(event{round: m, id: int(v)})
+	b := int32(ls.pending.pop().id)
+	delete(ls.bucketOf, r)
+	stamp := r + 1
+	for i, e := range ls.cur {
+		ls.stamps[e.node] = roundStamp{round: stamp, at: int32(i)}
 	}
-}
-
-// insert adds lanes to node v's event at round w, creating that event
-// in round order if the list has none at w. Every queued round is later
-// than the current one, so a next-round event is a push onto the end (or
-// a merge with the head); a farther event scans from the head past the
-// earlier rounds, which are few.
-func (ls *lockstep) insert(v int32, w, lanes uint64) {
-	base := int(v) * MaxLanes
-	c := int(ls.evLen[v])
-	i := c
-	for i > 0 && ls.events[base+i-1].round < w {
-		i--
+	for _, e := range ls.buckets[b] {
+		if s := &ls.stamps[e.node]; s.round == stamp {
+			ls.cur[s.at].lanes |= e.lanes
+		} else {
+			*s = roundStamp{round: stamp, at: int32(len(ls.cur))}
+			ls.cur = append(ls.cur, e)
+		}
 	}
-	if i > 0 && ls.events[base+i-1].round == w {
-		ls.events[base+i-1].lanes |= lanes
-		return
-	}
-	copy(ls.events[base+i+1:base+c+1], ls.events[base+i:base+c])
-	ls.events[base+i] = laneEvent{round: w, lanes: lanes}
-	ls.evLen[v] = uint8(c + 1)
+	ls.buckets[b] = ls.buckets[b][:0]
+	ls.free = append(ls.free, b)
 }
 
 // stepRound advances all lanes one round: step each due node's lane
@@ -451,14 +464,11 @@ func (ls *lockstep) stepRound(r uint64, lp LaneProgram) error {
 	ls.txNodes = ls.txNodes[:0]
 	ls.lsNodes = ls.lsNodes[:0]
 	act := &ls.act
+	n := ls.n
 
 	var finished uint64
-	for _, v := range ls.cur {
-		// The node was queued at its head round, r: pop the head.
-		base := int(v) * MaxLanes
-		ls.evLen[v]--
-		dueM := ls.events[base+int(ls.evLen[v])].lanes
-
+	for _, e := range ls.cur {
+		v, dueM := e.node, e.lanes
 		act.Transmit, act.Listen, act.Halt = 0, 0, 0
 		lp.Step(int(v), dueM, ls.heard[v], act)
 
@@ -475,14 +485,18 @@ func (ls *lockstep) stepRound(r uint64, lp LaneProgram) error {
 			ls.lsMask[v] = lsn
 			ls.lsNodes = append(ls.lsNodes, v)
 		}
-		for m := tx | lsn; m != 0; m &= m - 1 {
-			ls.energy[base+bits.TrailingZeros64(m)]++
+		// One unit of energy for every awake lane: a ripple-carry add of
+		// the mask into the node's planes.
+		for i, c := int(v), tx|lsn; c != 0; i += n {
+			p := ls.planes[i]
+			ls.planes[i] = p ^ c
+			c &= p
 		}
 
 		// Transmitters, listeners and one-round sleepers act next round;
-		// longer sleepers are grouped by wake round, one insertion per
-		// distinct round. Each Sleep entry read is zeroed, so a lane the
-		// program gave no action reads 0.
+		// longer sleepers are grouped by wake round, one calendar entry
+		// per distinct round. Each Sleep entry read is zeroed, so a lane
+		// the program gave no action reads 0.
 		soon := tx | lsn
 		var far, none uint64
 		for m := sl; m != 0; m &= m - 1 {
@@ -510,22 +524,21 @@ func (ls *lockstep) stepRound(r uint64, lp LaneProgram) error {
 				}
 			}
 			far &^= group
-			ls.insert(v, r+k, group)
+			ls.schedule(v, r+k, group)
 		}
 		if soon != 0 {
-			ls.insert(v, r+1, soon)
+			ls.next = append(ls.next, laneEntry{node: v, lanes: soon})
 		}
 
+		base := int(v) * MaxLanes
 		for m := hl; m != 0; m &= m - 1 {
 			l := bits.TrailingZeros64(m)
-			i := l*ls.n + int(v)
-			ls.outs[i] = act.Output[l]
-			ls.haltR[i] = r
+			ls.outs[base+l] = act.Output[l]
+			ls.haltR[base+l] = r
 			if ls.laneActive[l]--; ls.laneActive[l] == 0 {
 				finished |= 1 << l
 			}
 		}
-		ls.reschedule(v, r)
 	}
 
 	// Per-lane round accounting and reception, mirroring the scalar
@@ -591,25 +604,44 @@ func (ls *lockstep) receive() {
 	}
 }
 
-// deliver hands each lane's Result to each, in lane order. Outputs and
-// halt rounds are handed over in place; energy is transposed from the
-// per-(node, lane) scratch into one n-entry buffer that every lane reuses,
-// so a batch allocates nothing once the scratch has grown.
+// deliver hands each lane's Result to each, in lane order. It expands
+// the energy planes once per node into the per-(node, lane) energy, then
+// gathers each lane's energy, outputs and halt rounds into n-entry
+// buffers that every lane reuses, so a batch allocates nothing once the
+// scratch has grown.
 func (ls *lockstep) deliver(each LaneFunc) error {
 	n := ls.n
-	if cap(ls.laneEnergy) < n {
-		ls.laneEnergy = make([]uint64, n)
+	// A lane spends energy only in rounds it counts, so no count needs
+	// more bits than the longest lane's Rounds: the planes above are zero.
+	var longest uint64
+	for _, r := range ls.laneRounds {
+		longest = max(longest, r)
 	}
-	energy := ls.laneEnergy[:n]
+	top := bits.Len64(longest)
+	for v := 0; v < n; v++ {
+		var e [MaxLanes]uint64
+		for k := 0; k < top; k++ {
+			for p := ls.planes[k*n+v]; p != 0; p &= p - 1 {
+				e[bits.TrailingZeros64(p)] += 1 << k
+			}
+		}
+		*(*[MaxLanes]uint64)(ls.energy[v*MaxLanes:]) = e
+	}
+	ls.laneEnergy = resize(ls.laneEnergy, n)
+	ls.laneOuts = resize(ls.laneOuts, n)
+	ls.laneHalts = resize(ls.laneHalts, n)
+	energy, outs, halts := ls.laneEnergy, ls.laneOuts, ls.laneHalts
 	for l := 0; l < ls.lanes; l++ {
 		for v := range energy {
-			energy[v] = ls.energy[v*MaxLanes+l]
+			i := v*MaxLanes + l
+			energy[v] = ls.energy[i]
+			outs[v] = ls.outs[i]
+			halts[v] = ls.haltR[i]
 		}
-		lo, hi := l*n, (l+1)*n
 		ls.res = Result{
-			Outputs:   ls.outs[lo:hi:hi],
+			Outputs:   outs,
 			Energy:    energy,
-			HaltRound: ls.haltR[lo:hi:hi],
+			HaltRound: halts,
 			Rounds:    ls.laneRounds[l],
 		}
 		if err := each(l, &ls.res, ls.laneErrs[l]); err != nil {

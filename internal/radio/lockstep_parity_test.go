@@ -201,32 +201,35 @@ func (p *drowsyLaneProgram) Step(node int, due, heard uint64, act *LaneActions) 
 	}
 }
 
-// spreadProgram fills the lockstep engine's per-node event lists: each of
-// two iterations opens with a sleep of 1–65536 rounds, a length the 64
-// lanes of a node almost surely all draw differently, so a node holds up
-// to 64 pending rounds at once. One action later the node sleeps out the
-// rest of a fixed span, which realigns its lanes (their events merge),
-// and eight coin rounds of transmit or listen follow.
-func spreadProgram(env *Env) int64 {
-	heard := int64(0)
-	for i := 0; i < 2; i++ {
-		x := uint64(env.Rand().Int63()&0xffff) + 1
-		env.Sleep(x)
-		if env.Rand().Int63()&1 == 1 {
-			env.TransmitBit()
-		} else {
-			env.Listen()
-		}
-		env.Sleep(0x10001 - x)
-		for j := 0; j < 8; j++ {
+// spreadProgram spreads a node's lanes over the lockstep calendar: each of
+// two iterations opens with a sleep of 1 to 2^scale rounds, a length the
+// 64 lanes of a node almost surely all draw differently at scale 16, so a
+// node holds up to 64 pending rounds at once. One action later the node
+// sleeps out the rest of a fixed span, which realigns its lanes (their
+// entries merge), and eight coin rounds of transmit or listen follow.
+func spreadProgram(scale uint) Program {
+	mask := uint64(1)<<scale - 1
+	return func(env *Env) int64 {
+		heard := int64(0)
+		for i := 0; i < 2; i++ {
+			x := uint64(env.Rand().Int63())&mask + 1
+			env.Sleep(x)
 			if env.Rand().Int63()&1 == 1 {
 				env.TransmitBit()
-			} else if env.Listen().Kind != Silence {
-				heard++
+			} else {
+				env.Listen()
+			}
+			env.Sleep(mask + 2 - x)
+			for j := 0; j < 8; j++ {
+				if env.Rand().Int63()&1 == 1 {
+					env.TransmitBit()
+				} else if env.Listen().Kind != Silence {
+					heard++
+				}
 			}
 		}
+		return heard
 	}
-	return heard
 }
 
 type spreadLaneState struct {
@@ -245,8 +248,19 @@ const (
 	spreadStAfterListen        // consume a coin round's listen
 )
 
+// spreadLaneProgram is the lane twin of spreadProgram(scale) with mask
+// 2^scale − 1.
 type spreadLaneProgram struct {
+	mask  uint64
 	state []spreadLaneState
+}
+
+// spreadPair is the spread pair at the given sleep scale.
+func spreadPair(scale uint) lanePair {
+	return lanePair{
+		scalar: spreadProgram(scale),
+		lane:   func() LaneProgram { return &spreadLaneProgram{mask: 1<<scale - 1} },
+	}
 }
 
 func (p *spreadLaneProgram) Bind(n int, seeds []uint64) {
@@ -278,7 +292,7 @@ func (p *spreadLaneProgram) Step(node int, due, heard uint64, act *LaneActions) 
 				break
 			}
 			s.rng, out = rng.SplitMix64(s.rng)
-			s.x = (out>>1)&0xffff + 1
+			s.x = (out>>1)&p.mask + 1
 			act.Sleep[l] = s.x
 			s.st = spreadStAct
 		case spreadStAct:
@@ -290,7 +304,7 @@ func (p *spreadLaneProgram) Step(node int, due, heard uint64, act *LaneActions) 
 			}
 			s.st = spreadStRealign
 		case spreadStRealign:
-			act.Sleep[l] = 0x10001 - s.x
+			act.Sleep[l] = p.mask + 2 - s.x
 			s.j = 0
 			s.st = spreadStCoin
 		case spreadStCoin:
@@ -321,7 +335,7 @@ func lockstepPairs() map[string]lanePair {
 	return map[string]lanePair{
 		"bench":  {scalar: benchProgram, lane: func() LaneProgram { return &benchLaneProgram{} }},
 		"drowsy": {scalar: drowsyProgram, lane: func() LaneProgram { return &drowsyLaneProgram{} }},
-		"spread": {scalar: spreadProgram, lane: func() LaneProgram { return &spreadLaneProgram{} }},
+		"spread": spreadPair(16),
 	}
 }
 
@@ -329,8 +343,10 @@ func lockstepPairs() map[string]lanePair {
 // seed, halts recorded by an observer) and on the lockstep engine (one
 // RunLockstep across all seeds), and requires per-lane bit-identity:
 // same Result, per-node halt rounds equal to the scalar observer's, same
-// error text. It runs the lockstep side both standalone and twice through
-// a Pool (reused scratch and CSR cache).
+// error text. A lane stopped by the round cap must match the scalar
+// run's partial Result too. It runs the lockstep side both standalone and
+// twice through a Pool (reused scratch and CSR cache), each time under a
+// scheduleProbe.
 func runBothLockstep(t *testing.T, g *graph.Graph, cfg Config, pair lanePair, seeds []uint64) {
 	t.Helper()
 
@@ -364,8 +380,8 @@ func runBothLockstep(t *testing.T, g *graph.Graph, cfg Config, pair lanePair, se
 			if (lerr == nil) != (w.err == nil) || (lerr != nil && lerr.Error() != w.err.Error()) {
 				t.Fatalf("%s: lane %d error = %v, scalar = %v", label, l, lerr, w.err)
 			}
-			if lerr != nil {
-				continue // errored runs leave the Result unspecified
+			if lerr != nil && !errors.Is(lerr, ErrMaxRounds) {
+				continue // an aborted run leaves the Result unspecified
 			}
 			if !reflect.DeepEqual(results[l], w.res) {
 				t.Fatalf("%s: lane %d Result diverges from scalar\n got: %+v\nwant: %+v", label, l, results[l], w.res)
@@ -376,8 +392,16 @@ func runBothLockstep(t *testing.T, g *graph.Graph, cfg Config, pair lanePair, se
 		}
 	}
 
-	results, errs, err := collectLockstep(g, cfg, pair.lane(), seeds)
-	check(t, "standalone", results, errs, err)
+	probed := func(t *testing.T, label string, cfg Config) {
+		t.Helper()
+		probe := &scheduleProbe{LaneProgram: pair.lane(), wake: cfg.WakeRound}
+		results, errs, err := collectLockstep(g, cfg, probe, seeds)
+		if probe.err != nil {
+			t.Fatalf("%s: %v", label, probe.err)
+		}
+		check(t, label, results, errs, err)
+	}
+	probed(t, "standalone", cfg)
 
 	pool := NewPool(2)
 	defer pool.Close()
@@ -388,8 +412,77 @@ func runBothLockstep(t *testing.T, g *graph.Graph, cfg Config, pair lanePair, se
 	for trial := 0; trial < 2; trial++ {
 		c := cfg
 		c.Ctx = WithPool(base, pool)
-		results, errs, err := collectLockstep(g, c, pair.lane(), seeds)
-		check(t, fmt.Sprintf("pool trial=%d", trial), results, errs, err)
+		probed(t, fmt.Sprintf("pool trial=%d", trial), c)
+	}
+}
+
+// scheduleProbe wraps a lane program and checks the engine's scheduling
+// from outside it. Replaying the actions the program returns, it knows
+// the round each lane is due next, and so the round the engine is in
+// whenever it steps a node. It records an error when the engine steps a
+// node twice in one round, hands it a due lane that is not due in that
+// round, or goes back in time. A lane the engine never steps again shows
+// as a parity failure.
+type scheduleProbe struct {
+	LaneProgram
+	wake []uint64 // the batch's Config.WakeRound
+
+	dueAt []uint64 // [node*MaxLanes + lane]: the lane's next due round
+	last  []uint64 // per node: round+1 of its latest Step
+	round uint64   // the round of the latest Step
+	err   error
+}
+
+func (p *scheduleProbe) Bind(n int, seeds []uint64) {
+	p.LaneProgram.Bind(n, seeds)
+	p.dueAt = make([]uint64, n*MaxLanes)
+	p.last = make([]uint64, n)
+	p.round, p.err = 0, nil
+	if p.wake != nil {
+		for v := 0; v < n; v++ {
+			for l := range seeds {
+				p.dueAt[v*MaxLanes+l] = p.wake[v]
+			}
+		}
+	}
+}
+
+func (p *scheduleProbe) Step(node int, due, heard uint64, act *LaneActions) {
+	p.LaneProgram.Step(node, due, heard, act)
+	if p.err != nil {
+		return
+	}
+	if due == 0 {
+		p.err = fmt.Errorf("node %d stepped with no due lane", node)
+		return
+	}
+	at := p.dueAt[node*MaxLanes:][:MaxLanes]
+	r := at[bits.TrailingZeros64(due)]
+	switch {
+	case r < p.round:
+		p.err = fmt.Errorf("node %d stepped at round %d after round %d", node, r, p.round)
+	case p.last[node] == r+1:
+		p.err = fmt.Errorf("node %d stepped twice in round %d", node, r)
+	}
+	p.round, p.last[node] = r, r+1
+	// The engine's reading of act: a due lane transmits, else listens,
+	// else halts, else sleeps.
+	tx := act.Transmit & due
+	lsn := act.Listen & due &^ tx
+	hl := act.Halt & due &^ (tx | lsn)
+	for m := due; m != 0; m &= m - 1 {
+		l := bits.TrailingZeros64(m)
+		if at[l] != r && p.err == nil {
+			p.err = fmt.Errorf("node %d in round %d: lane %d is due in round %d", node, r, l, at[l])
+		}
+		switch {
+		case (tx|lsn)&(1<<l) != 0:
+			at[l] = r + 1
+		case hl&(1<<l) != 0:
+			at[l] = ^uint64(0)
+		default:
+			at[l] = r + act.Sleep[l]
+		}
 	}
 }
 
@@ -576,38 +669,46 @@ func TestLockstepRagged65(t *testing.T) {
 	}
 }
 
-// eventProbe wraps a lane program and records the longest event list any
-// node held: at each Step it reads the list of the node stepped before,
-// whose insertions are complete by then.
-type eventProbe struct {
-	LaneProgram
-	ls      *lockstep
-	last    int
-	longest int
-}
-
-func (p *eventProbe) Step(node int, due, heard uint64, act *LaneActions) {
-	p.longest = max(p.longest, int(p.ls.evLen[p.last]))
-	p.last = node
-	p.LaneProgram.Step(node, due, heard, act)
+// calendarEntries counts the calendar entries of every node: its
+// next-round entry and its entries in every pending bucket.
+func calendarEntries(ls *lockstep) []int {
+	count := make([]int, ls.n)
+	for _, e := range ls.next {
+		count[e.node]++
+	}
+	for _, pr := range ls.pending {
+		for _, e := range ls.buckets[pr.id] {
+			count[e.node]++
+		}
+	}
+	return count
 }
 
 // TestLockstepEventListFull checks the premise of the spread pair: on a
-// 64-lane batch its lane-distinct sleeps fill a node's event list to
-// MaxLanes entries, the list's full capacity.
+// 64-lane batch its lane-distinct sleeps park one node's lanes on
+// MaxLanes distinct pending rounds at once, one calendar entry each.
 func TestLockstepEventListFull(t *testing.T) {
 	g := graph.Cycle(97)
 	cfg := Config{Model: ModelCD}
 	seeds := laneSeeds(MaxLanes, 0x5b1d)
 	var ls lockstep
 	ls.bind(g, graph.BuildCSR(g), &cfg, len(seeds), DefaultMaxRounds)
-	probe := &eventProbe{LaneProgram: &spreadLaneProgram{}, ls: &ls}
-	probe.Bind(g.N(), seeds)
-	if err := ls.run(probe, func(int, *Result, error) error { return nil }); err != nil {
+	lp := spreadPair(16).lane()
+	lp.Bind(g.N(), seeds)
+	// Round 0 opens every node's long sleeps.
+	if err := ls.stepRound(0, lp); err != nil {
 		t.Fatal(err)
 	}
-	if probe.longest != MaxLanes {
-		t.Fatalf("longest event list = %d, want %d", probe.longest, MaxLanes)
+	longest := slices.Max(calendarEntries(&ls))
+	if longest != MaxLanes {
+		t.Fatalf("most calendar entries of one node = %d, want %d", longest, MaxLanes)
+	}
+	if len(ls.pending) < MaxLanes {
+		t.Fatalf("%d pending rounds, want at least %d", len(ls.pending), MaxLanes)
+	}
+	// The rest of the batch runs on from there, every lane completing.
+	if err := ls.run(lp, func(l int, _ *Result, err error) error { return err }); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -793,4 +894,145 @@ func TestLockstepNestedOnPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// burstActs is the least number of rounds a burstProgram node is awake.
+const burstActs = 1<<16 - 1
+
+// burstProgram is awake in every round, transmitting or listening by a
+// coin, for burstActs + d rounds, d ∈ {0, 1, 2} drawn first, then halts
+// with the number of its listens that heard something. Its energy is
+// the round cap wherever the cap stops it.
+func burstProgram(env *Env) int64 {
+	acts := burstActs + uint64(env.Rand().Int63())%3
+	heard := int64(0)
+	for i := uint64(0); i < acts; i++ {
+		if env.Rand().Int63()&1 == 1 {
+			env.TransmitBit()
+		} else if env.Listen().Kind != Silence {
+			heard++
+		}
+	}
+	return heard
+}
+
+type burstLaneState struct {
+	rng, acts, i uint64
+	heard        int64
+	listened     bool
+}
+
+type burstLaneProgram struct {
+	state []burstLaneState
+}
+
+func (p *burstLaneProgram) Bind(n int, seeds []uint64) {
+	p.state = make([]burstLaneState, n*MaxLanes)
+	for v := 0; v < n; v++ {
+		for l, seed := range seeds {
+			s := &p.state[v*MaxLanes+l]
+			var out uint64
+			s.rng, out = rng.SplitMix64(rng.Mix(seed, uint64(v)))
+			s.acts = burstActs + (out>>1)%3
+		}
+	}
+}
+
+func (p *burstLaneProgram) Step(node int, due, heard uint64, act *LaneActions) {
+	for m := due; m != 0; m &= m - 1 {
+		l := bits.TrailingZeros64(m)
+		s := &p.state[node*MaxLanes+l]
+		bit := uint64(1) << l
+		if s.listened && heard&bit != 0 {
+			s.heard++
+		}
+		s.listened = false
+		if s.i == s.acts {
+			act.Halt |= bit
+			act.Output[l] = s.heard
+			continue
+		}
+		s.i++
+		var out uint64
+		s.rng, out = rng.SplitMix64(s.rng)
+		if (out>>1)&1 == 1 {
+			act.Transmit |= bit
+		} else {
+			act.Listen |= bit
+			s.listened = true
+		}
+	}
+}
+
+// TestLockstepEnergyPlanes puts lane energy on the boundaries of the
+// engine's bit-sliced counters: on two nodes awake in every round, each
+// lane's energy is the round cap until burstProgram halts, so the caps
+// land it on 2^k − 1, 2^k and 2^k + 1 and fill the top plane of the
+// bits.Len64(cap) the engine keeps; at the default cap the lanes halt at
+// 2^16 − 1, 2^16 and 2^16 + 1. Every lane must equal its scalar run,
+// Result and ErrMaxRounds alike. One pool serves every cap, so its planes
+// are resized and reused between batches.
+func TestLockstepEnergyPlanes(t *testing.T) {
+	g := graph.Complete(2)
+	pair := lanePair{scalar: burstProgram, lane: func() LaneProgram { return &burstLaneProgram{} }}
+	seeds := laneSeeds(4, 0xe7)
+	pool := NewPool(1)
+	defer pool.Close()
+	ctx := WithPool(context.Background(), pool)
+	for _, maxRounds := range []uint64{1, 2, 3, 4, 255, 256, 257, 1 << 16, 0} {
+		cfg := Config{Model: ModelCD, MaxRounds: maxRounds, Ctx: ctx}
+		t.Run(fmt.Sprintf("max=%d", maxRounds), func(t *testing.T) {
+			runBothLockstep(t, g, cfg, pair, seeds)
+		})
+	}
+	results, errs, err := collectLockstep(g, Config{Model: ModelCD, Ctx: ctx}, &burstLaneProgram{}, seeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[uint64]bool{}
+	for l, res := range results {
+		if errs[l] != nil {
+			t.Fatalf("lane %d: %v", l, errs[l])
+		}
+		for _, e := range res.Energy {
+			seen[e] = true
+		}
+	}
+	for _, e := range []uint64{1<<16 - 1, 1 << 16, 1<<16 + 1} {
+		if !seen[e] {
+			t.Errorf("no node spent %d at the default cap; energies %v", e, seen)
+		}
+	}
+}
+
+// FuzzLockstepParity differentially fuzzes the generic lane path: the
+// spread pair at a fuzzed sleep scale (sleeps of 1 to 2^scale rounds, so
+// a node's lanes spread over up to 64 pending rounds) and the bench pair,
+// on a G(n ≤ 96, p) graph under a fuzzed model, lane count, WakeRound and
+// round cap, must give every lane its scalar run's Result and error on
+// fresh and pooled lockstep, with the schedule probe watching
+// (runBothLockstep).
+func FuzzLockstepParity(f *testing.F) {
+	f.Add(uint64(1), uint8(40), uint8(30), uint8(63), uint8(0), uint16(0), uint8(16), uint8(0))
+	f.Add(uint64(2), uint8(95), uint8(10), uint8(63), uint8(17), uint16(0), uint8(3), uint8(1))
+	f.Add(uint64(3), uint8(12), uint8(200), uint8(5), uint8(255), uint16(300), uint8(9), uint8(2))
+	f.Add(uint64(4), uint8(64), uint8(20), uint8(63), uint8(0), uint16(40000), uint8(16), uint8(0))
+	f.Add(uint64(5), uint8(0), uint8(0), uint8(0), uint8(1), uint16(1), uint8(0), uint8(1))
+	f.Fuzz(func(t *testing.T, seed uint64, nodes, density, lanes, wake uint8, maxRounds uint16, scale, model uint8) {
+		n := 1 + int(nodes)%96
+		r := rand.New(rand.NewSource(int64(seed)))
+		g := graph.GNP(n, float64(density)/256, r)
+		cfg := Config{Model: Model(1 + int(model)%3), MaxRounds: uint64(maxRounds)}
+		if wake != 0 {
+			cfg.WakeRound = make([]uint64, n)
+			for v := range cfg.WakeRound {
+				cfg.WakeRound[v] = uint64(r.Intn(int(wake) + 1))
+			}
+		}
+		seeds := laneSeeds(1+int(lanes)%MaxLanes, seed)
+		t.Logf("spread at scale %d", scale%17)
+		runBothLockstep(t, g, cfg, spreadPair(uint(scale%17)), seeds)
+		t.Logf("bench")
+		runBothLockstep(t, g, cfg, lockstepPairs()["bench"], seeds)
+	})
 }

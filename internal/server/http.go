@@ -33,7 +33,8 @@ func WithPprof() HandlerOption {
 // NewHandler returns the radiomisd HTTP API:
 //
 //	POST   /v1/jobs             submit a job (202 created, 200 cache/dedup hit,
-//	                            400 invalid, 429 queue full, 503 draining)
+//	                            400 invalid, 413 body over 1 MiB, 429 queue
+//	                            full, 503 draining)
 //	GET    /v1/jobs             list the queued, running and newest finished jobs
 //	GET    /v1/jobs/{id}        job status and, when done, its result
 //	DELETE /v1/jobs/{id}        cancel a queued or running job
@@ -46,8 +47,9 @@ func WithPprof() HandlerOption {
 // newest 1,024 finished jobs.
 //
 //	POST   /v1/schedule         peel a conflict graph into independent batches,
-//	                            synchronously (200 plan, 400 invalid); identical
-//	                            requests replay from an LRU plan cache
+//	                            synchronously (200 plan, 400 invalid, 413 body
+//	                            over 16 MiB); identical requests replay from an
+//	                            LRU plan cache
 //	GET    /v1/algorithms       discovery: registered algorithms + param knobs
 //	GET    /healthz             liveness probe + build information
 //	GET    /readyz              readiness probe (503 while replaying the WAL
@@ -189,12 +191,33 @@ func (w *statusWriter) Flush() {
 	}
 }
 
+// Request body limits, one per endpoint that reads a body. A body past
+// its limit is refused with 413 as soon as the limit is read, so no
+// request makes the daemon buffer more. A job request is a few hundred
+// bytes of JSON; a schedule request carries its edge list, about 15
+// bytes an edge, so its limit admits about a million edges.
+const (
+	maxJobBodyBytes      = 1 << 20
+	maxScheduleBodyBytes = 16 << 20
+)
+
+// writeBodyError answers a request whose body failed to read or decode:
+// 413 with the limit when the body ran past it, 400 otherwise.
+func writeBodyError(w http.ResponseWriter, err error) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds the limit of %d bytes", tooLarge.Limit)
+		return
+	}
+	writeError(w, http.StatusBadRequest, "decoding request: %v", err)
+}
+
 func handleSubmit(m *Manager, w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJobBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
+		writeBodyError(w, err)
 		return
 	}
 	job, created, err := m.Submit(r.Context(), req)
@@ -226,13 +249,13 @@ func handleSubmit(m *Manager, w http.ResponseWriter, r *http.Request) {
 // of small-graph calls per second, where the job machinery's bookkeeping
 // would dominate the planning work.
 func handleSchedule(m *Manager, w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(r.Body)
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxScheduleBodyBytes))
 	var req ScheduleRequest
 	if err == nil {
 		req, err = decodeScheduleRequest(body)
 	}
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
+		writeBodyError(w, err)
 		return
 	}
 	res, err := m.Schedule(r.Context(), req)

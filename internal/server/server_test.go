@@ -181,6 +181,43 @@ func TestInvalidRequests(t *testing.T) {
 	}
 }
 
+// TestRequestBodyLimits sends each route that reads a body one byte past
+// its limit: both answer 413 with the limit in the message. A body of
+// exactly the limit still reaches decoding and validation.
+func TestRequestBodyLimits(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1})
+	post := func(route, body string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+route, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var e struct{ Error string }
+		if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+			t.Fatalf("%s: decoding error response: %v", route, err)
+		}
+		return resp.StatusCode, e.Error
+	}
+	for _, tc := range []struct {
+		route, valid string // valid: a small body that fails validation with 400
+		limit        int
+	}{
+		{"/v1/jobs", `{"kind":"bogus"}`, maxJobBodyBytes},
+		{"/v1/schedule", `{"n":0}`, maxScheduleBodyBytes},
+	} {
+		pad := strings.Repeat(" ", tc.limit-len(tc.valid))
+		if status, msg := post(tc.route, pad+tc.valid); status != http.StatusBadRequest {
+			t.Errorf("%s: body of exactly %d bytes: status %d (%s), want 400", tc.route, tc.limit, status, msg)
+		}
+		status, msg := post(tc.route, " "+pad+tc.valid)
+		want := fmt.Sprintf("request body exceeds the limit of %d bytes", tc.limit)
+		if status != http.StatusRequestEntityTooLarge || msg != want {
+			t.Errorf("%s: body of %d bytes: status %d, error %q; want 413, %q", tc.route, tc.limit+1, status, msg, want)
+		}
+	}
+}
+
 func TestCacheHitOnResubmission(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 2})
 	req := JobRequest{Kind: KindExperiment, Experiment: "E8", Quick: true, Seed: 11}

@@ -4,6 +4,7 @@
 Usage: benchpairs.py BENCH_FILE [BENCHMARK.json]
        benchpairs.py collect --parent DIR --change DIR --workloads W[,W...]
                              --seeds SEEDS --out FILE
+       benchpairs.py trend BENCH_FILE...
 
 BENCH_FILE (e.g. BENCH_17.json) holds radiobench result lines in a list
 "runs". Each entry has "side" ("parent" or "change"), "host" (the run's
@@ -36,6 +37,16 @@ runs a side at seed 7, 10 s each, alternating the same way. Progress
 goes to standard error. The file is written once every run has
 finished, with each run that printed a result line. Exit status: 1 when
 any run exits non-zero or prints no result line, else 0.
+
+trend reads several such files, in the order given (e.g. BENCH_17.json
+BENCH_19.json BENCH_21.json), and prints per workload and end-to-end
+metric each file's change/parent ratio of the medians with its pair
+wins, and below it the running product of the ratios: the workload's
+trajectory across the changes the files record. A file without pairs
+of a workload shows "-" and leaves the product as it was. It prints
+ratios rather than absolute medians because the host's speed drifts
+between collections: the same commit can read twice as fast in one
+collection as in another. Exit status 0.
 """
 
 import argparse
@@ -67,6 +78,14 @@ def pairs_of(runs, workload):
     return [by_seed[s] for s in sorted(by_seed) if set(by_seed[s]) == set(SIDES)]
 
 
+def compare(pairs, name, better):
+    """Both sides' (q1, median, q3) of metric name over pairs, and the change's wins."""
+    par = [p["parent"]["metrics"][name]["value"] for p in pairs]
+    chg = [p["change"]["metrics"][name]["value"] for p in pairs]
+    wins = sum(c > p if better == "higher" else c < p for p, c in zip(par, chg))
+    return quartiles(par), quartiles(chg), wins
+
+
 def check_pairs(workload, pairs, spec):
     """Print the workload's end-to-end table; return False on a broken bound."""
     ok = True
@@ -84,10 +103,7 @@ def check_pairs(workload, pairs, spec):
           f" {'ratio':>7} {'wins':>6} {'IQR':>4}  bound")
     for m in spec["end_to_end"]:
         name, better, bound = m["name"], m["better"], m["bound"]
-        par = [p["parent"]["metrics"][name]["value"] for p in pairs]
-        chg = [p["change"]["metrics"][name]["value"] for p in pairs]
-        pq, cq = quartiles(par), quartiles(chg)
-        wins = sum(c > p if better == "higher" else c < p for p, c in zip(par, chg))
+        pq, cq, wins = compare(pairs, name, better)
         ratio = cq[1] / pq[1] if pq[1] else float("nan")
         worse = (1 - ratio) if better == "higher" else (ratio - 1)
         clears = "yes" if abs(cq[1] - pq[1]) > pq[2] - pq[0] else "no"
@@ -224,10 +240,45 @@ def collect(argv):
     return 1 if errors else 0
 
 
+def trend(paths):
+    """Print each file's change/parent median ratios and wins, and their running product."""
+    with open(SPEC_PATH) as f:
+        spec = json.load(f)
+    files = []
+    for path in paths:
+        with open(path) as f:
+            files.append((os.path.basename(path), json.load(f)["runs"]))
+    width = max(16, *(len(name) + 2 for name, _ in files))
+    for w in [w["name"] for w in spec["workloads"]]:
+        pairs = [pairs_of(runs, w) for _, runs in files]
+        if not any(pairs):
+            continue
+        print(f"{w}: change/parent median ratio and pair wins; running product below")
+        print(f"  {'metric':<20}" + "".join(f"{name:>{width}}" for name, _ in files))
+        for m in spec["end_to_end"]:
+            name, better = m["name"], m["better"]
+            cells, products, product = [], [], 1.0
+            for ps in pairs:
+                if not ps:
+                    cells.append("-")
+                    products.append("-")
+                    continue
+                pq, cq, wins = compare(ps, name, better)
+                ratio = cq[1] / pq[1]
+                product *= ratio
+                cells.append(f"{ratio:.3f}x {wins}/{len(ps)}")
+                products.append(f"{product:.3f}x")
+            print(f"  {name:<20}" + "".join(f"{c:>{width}}" for c in cells))
+            print(f"  {'  running product':<20}" + "".join(f"{c:>{width}}" for c in products))
+    return 0
+
+
 def main(argv):
     if len(argv) > 1 and argv[1] == "collect":
         return collect(argv[2:])
-    if len(argv) not in (2, 3):
+    if len(argv) > 2 and argv[1] == "trend":
+        return trend(argv[2:])
+    if len(argv) not in (2, 3) or argv[1] == "trend":
         print(__doc__, file=sys.stderr)
         return 2
     with open(argv[1]) as f:
