@@ -16,10 +16,14 @@
 //   - If a receiver has between 1 and Δest sender neighbors, it hears a
 //     message with probability at least 1 − (7/8)^k.
 //
-// Receive listens through its slots with radio.Env.ListenFor, one listen
-// run per window of consecutive listening slots, so on the scheduler a
-// receiver hands off once per message heard or per window, not once per
-// slot. Its receptions, energy and rounds are those of slot-by-slot
+// Send and Receive hand the engine runs of slots rather than single slots.
+// Send transmits through up to 63 rounds of iterations with one
+// radio.Env.TransmitRun, so on the scheduler a sender costs one visit per
+// transmission and hands off about once per 16 runs. Receive listens
+// through its slots with radio.Env.ListenFor, one listen run per window of
+// consecutive listening slots, so a receiver hands off once per message
+// heard or per window, not once per slot. Both yield exactly the
+// receptions, energy and rounds of slot-by-slot transmitting and
 // listening.
 package backoff
 
@@ -73,21 +77,32 @@ func Rounds(k, delta int) uint64 {
 	return uint64(k) * uint64(Slots(delta))
 }
 
+// runSpan is the longest radio.Env.TransmitRun, in rounds.
+const runSpan = 63
+
 // Send runs Snd-EBackoff(k, Δ): in each of the k iterations the sender
 // picks slot x with the capped geometric distribution P(x = j) = 2^{-j}
 // (the final slot absorbing the tail), transmits payload in that slot, and
 // sleeps through all other slots. Total awake rounds: exactly k.
+//
+// The slots are fixed by the draws before the sender first transmits, so
+// Send draws the slots of ⌊63/Slots(Δ)⌋ iterations at a time, in the same
+// order, and submits them as one radio.Env.TransmitRun.
 func Send(env *radio.Env, k, delta int, payload uint64) {
 	defer restorePhase(env, claimPhase(env, "snd-ebackoff"))
 	slots := Slots(delta)
-	for i := 0; i < k; i++ {
-		x := rng.GeometricHalf(env.Rand())
-		if x > slots {
-			x = slots
+	per := runSpan / slots
+	for i := 0; i < k; i += per {
+		iters := min(per, k-i)
+		var mask uint64
+		for it := 0; it < iters; it++ {
+			x := rng.GeometricHalf(env.Rand())
+			if x > slots {
+				x = slots
+			}
+			mask |= 1 << (it*slots + x - 1)
 		}
-		env.Sleep(uint64(x - 1))
-		env.Transmit(payload)
-		env.Sleep(uint64(slots - x))
+		env.TransmitRun(mask, uint64(iters*slots), payload)
 	}
 }
 

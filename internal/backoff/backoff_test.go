@@ -1,6 +1,7 @@
 package backoff
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -427,4 +428,84 @@ func TestReceiveMatchesSlotBySlot(t *testing.T) {
 			}
 		}
 	}
+}
+
+// sendSlotBySlot is Send as a Sleep and a Transmit per slot: the
+// definition its transmit runs must reproduce.
+func sendSlotBySlot(env *radio.Env, k, delta int, payload uint64) {
+	defer restorePhase(env, claimPhase(env, "snd-ebackoff"))
+	slots := Slots(delta)
+	for i := 0; i < k; i++ {
+		x := rng.GeometricHalf(env.Rand())
+		if x > slots {
+			x = slots
+		}
+		env.Sleep(uint64(x - 1))
+		env.Transmit(payload)
+		env.Sleep(uint64(slots - x))
+	}
+}
+
+func TestSendMatchesSlotBySlot(t *testing.T) {
+	// On a random graph where each node sends or receives in each of
+	// several backoffs, Send must give exactly the Result and observer
+	// stream of slot-by-slot sending in every model: the receivers'
+	// receptions (in their outputs), energy, halt rounds and round count.
+	// The Δ values give 1, 2, 4 and 20 slots, so a backoff is one run or
+	// several (63, 31, 15 and 3 iterations a run), and k reaches past the
+	// first run.
+	type sender func(env *radio.Env, k, delta int, payload uint64)
+	program := func(send sender) radio.Program {
+		return func(env *radio.Env) int64 {
+			acc := uint64(env.ID())
+			for b := 0; b < 5; b++ {
+				delta := []int{1, 3, 16, 1 << 20}[env.Rand().Intn(4)]
+				k := 1 + env.Rand().Intn(80)
+				if env.Rand().Intn(2) == 0 {
+					send(env, k, delta, uint64(env.ID()+1))
+					continue
+				}
+				p, ok := ReceivePayload(env, k, delta, 0)
+				acc = acc*31 + p
+				if ok {
+					acc++
+				}
+			}
+			return int64(acc)
+		}
+	}
+	g := graph.GNP(60, 0.1, rng.New(5))
+	for _, model := range []radio.Model{radio.ModelCD, radio.ModelNoCD, radio.ModelBeep} {
+		for seed := uint64(0); seed < 4; seed++ {
+			wantObs, gotObs := &roundRecorder{}, &roundRecorder{}
+			want, err := radio.Run(g, radio.Config{Model: model, Seed: seed, Observer: wantObs}, program(sendSlotBySlot))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := radio.Run(g, radio.Config{Model: model, Seed: seed, Observer: gotObs}, program(Send))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%v seed %d: Send diverges from slot-by-slot sending", model, seed)
+			}
+			if !reflect.DeepEqual(gotObs, wantObs) {
+				t.Fatalf("%v seed %d: Send's observer stream diverges from slot-by-slot sending", model, seed)
+			}
+		}
+	}
+}
+
+// roundRecorder keeps every observed round's transmitters and listener
+// outcomes.
+type roundRecorder struct {
+	rounds []string
+}
+
+func (o *roundRecorder) ObserveRound(s *radio.RoundStats) {
+	o.rounds = append(o.rounds, fmt.Sprintf("%d %v %v", s.Round, s.Transmitters, s.Listeners))
+}
+
+func (o *roundRecorder) ObserveHalt(id int, output int64, energy, round uint64) {
+	o.rounds = append(o.rounds, fmt.Sprintf("halt %d %d %d %d", id, output, energy, round))
 }

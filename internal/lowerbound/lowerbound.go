@@ -109,23 +109,26 @@ func obliviousProgram(budget, horizon int) radio.Program {
 		horizon = budget
 	}
 	return func(env *radio.Env) int64 {
-		slots := env.Rand().Perm(horizon)[:budget]
-		awake := make(map[int]bool, budget)
-		for _, s := range slots {
+		awake := make([]bool, horizon)
+		for _, s := range env.Rand().Perm(horizon)[:budget] {
 			awake[s] = true
 		}
 		heard := false
-		for r := 0; r < horizon; r++ {
-			if !awake[r] {
-				env.Sleep(1)
+		asleep := uint64(0) // rounds since the last awake one, not yet slept
+		for _, on := range awake {
+			if !on {
+				asleep++
 				continue
 			}
+			env.Sleep(asleep)
+			asleep = 0
 			if rng.Bool(env.Rand()) {
 				env.TransmitBit()
 			} else if env.Listen().Heard() {
 				heard = true
 			}
 		}
+		env.Sleep(asleep)
 		if heard {
 			return 1
 		}

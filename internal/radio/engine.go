@@ -150,12 +150,15 @@ func (r *Result) TotalEnergy() uint64 {
 // scheduler (see Env.flush). A node program runs ahead of the scheduler —
 // queueing its next transmit and sleep actions without a goroutine switch
 // per action — until it must wait for a reception, halts, or fills a
-// batch. A listen run of any length is one intent and ends its batch. The
-// scheduler consumes exactly one intent per scheduled round regardless of
-// capacity (re-serving a listen run's intent until the run ends), so
+// batch. A listen run of any length is one intent and ends its batch; a
+// transmit run of up to 63 rounds takes two slots. The scheduler consumes
+// exactly one intent per scheduled round regardless of capacity
+// (re-serving a listen or transmit run's intent until the run ends), so
 // results are identical at any capacity; only the number of goroutine
-// switches changes. Beyond 16 the capacity barely matters; below it,
-// Send-style sleep/transmit runs hand over too often.
+// switches changes. backoff.Send submits one transmit run per 63 rounds of
+// slots, so a sender fills a batch only every 16 runs; the capacity
+// matters most for programs that still transmit and sleep one action at a
+// time, such as the Decay baselines.
 const batchCap = 32
 
 // Run simulates program on every vertex of g under cfg and blocks until all

@@ -1,6 +1,8 @@
 package radio
 
 import (
+	"fmt"
+	"math/bits"
 	"math/rand"
 	"sync/atomic"
 )
@@ -46,7 +48,8 @@ type Env struct {
 	// cut from ring (three equal buffers of the run's batch capacity), and
 	// hands fill over on handoff only when it must wait for a reception (a
 	// listen run, however many rounds it lasts), when it halts, or when
-	// fill is full; then it rotates to the next buffer.
+	// fill is full (or lacks the two slots a transmit run takes); then it
+	// rotates to the next buffer.
 	// Three buffers suffice because handoff holds one batch: when the node
 	// starts batch k its send of batch k-1 has completed, so the scheduler
 	// had taken batch k-2, which it does only after finishing batch k-3,
@@ -95,7 +98,7 @@ func (e *Env) N() int { return e.n }
 // Round returns the round at which the node's next action will occur.
 // Node-local bookkeeping keeps this exact without any global clock:
 // Transmit and Listen each consume one round, ListenFor the rounds it
-// listened, and Sleep(k) consumes k.
+// listened, and Sleep(k) and TransmitRun(mask, k, payload) consume k.
 func (e *Env) Round() uint64 { return e.round }
 
 // Rand returns the node's private random stream. Streams of distinct nodes
@@ -132,6 +135,59 @@ func (e *Env) Transmit(payload uint64) {
 
 // TransmitBit transmits the 1-bit used by the unary algorithms ("beep").
 func (e *Env) TransmitBit() { e.Transmit(1) }
+
+// maxRunSpan is the longest transmit run: a run's mask and its span share
+// one 64-bit intent operand.
+const maxRunSpan = 63
+
+// TransmitRun transmits payload in each round Round()+i of the next span
+// rounds whose mask bit i is set and sleeps in the others; mask bits at or
+// above span are ignored. It stands for the loop of Transmit and Sleep
+// calls it replaces: every round is charged, observed, fault-injected and
+// checked under UnaryOnly exactly as that loop's would be. Round advances
+// by span and Energy by the rounds transmitted. span is at most 63; a
+// longer span panics.
+//
+// On the scheduler a transmit run is one intent however many rounds it
+// spans: the scheduler serves it again in each round it transmits and
+// skips the rounds it sleeps, so a sender's backoff costs a scheduler
+// visit per transmission, not per slot. The reference engine expands it
+// into Transmit and Sleep calls, which defines it.
+func (e *Env) TransmitRun(mask, span, payload uint64) {
+	if span > maxRunSpan {
+		panic(fmt.Sprintf("radio: TransmitRun span %d exceeds %d rounds", span, maxRunSpan))
+	}
+	mask &= 1<<span - 1
+	if mask == 0 {
+		e.Sleep(span)
+		return
+	}
+	if e.ref {
+		for i := uint64(0); i < span; {
+			if mask>>i&1 != 0 {
+				e.Transmit(payload)
+				i++
+				continue
+			}
+			gap := min(span, i+uint64(bits.TrailingZeros64(mask>>i))) - i
+			e.Sleep(gap)
+			i += gap
+		}
+		return
+	}
+	// The header and its payload slot share a batch.
+	if len(e.fill)+2 > cap(e.fill) {
+		e.flush()
+	}
+	e.fill = append(e.fill,
+		intent{kind: intentTransmitRun, arg: mask | 1<<span, phase: e.phase},
+		intent{kind: intentRunPayload, arg: payload})
+	if len(e.fill) == cap(e.fill) {
+		e.flush()
+	}
+	e.round += span
+	e.energy += uint64(bits.OnesCount64(mask))
+}
 
 // Listen spends this round listening and returns what was perceived under
 // the network's collision model. The node is awake (one unit of energy).
@@ -272,14 +328,19 @@ const (
 	intentListen
 	intentSleep
 	intentHalt
+	// intentTransmitRun heads a transmit run (Env.TransmitRun). The next
+	// slot of its batch, an intentRunPayload, carries the run's payload.
+	intentTransmitRun
+	intentRunPayload
 )
 
 type intent struct {
 	kind intentKind
 	// arg is the kind's operand: a transmit's payload, a listen's run
-	// length (ListenFor), a sleep's length, or a halt's output. One shared
-	// field keeps an intent at 32 bytes, which sizes every node's batch
-	// buffers.
+	// length (ListenFor), a sleep's length, a halt's output, a transmit
+	// run's mask with a marker bit at its span (mask | 1<<span), or a run
+	// payload slot's payload. One shared field keeps an intent at 32
+	// bytes, which sizes every node's batch buffers.
 	arg   uint64
-	phase string // Env.Phase label at submission (transmit/listen only)
+	phase string // Env.Phase label at submission (awake intents only)
 }

@@ -17,10 +17,10 @@
 //
 // Node algorithms are ordinary Go functions (Program) executed one
 // goroutine per node against an Env that provides the round primitives
-// (Transmit, Listen, ListenFor, Sleep). A discrete-event coordinator advances time,
-// applies the collision rule of the configured model, and charges one unit
-// of energy per awake round, so simulation cost is proportional to the sum
-// of awake node-rounds rather than n × rounds.
+// (Transmit, TransmitRun, Listen, ListenFor, Sleep). A discrete-event
+// coordinator advances time, applies the collision rule of the configured
+// model, and charges one unit of energy per awake round, so simulation cost
+// is proportional to the sum of awake node-rounds rather than n × rounds.
 package radio
 
 import "fmt"

@@ -46,9 +46,9 @@ type RunPerf struct {
 	// from the pool's one-entry cache instead of rebuilt for this run.
 	CSRReused bool
 	// BufferGrows counts coordinator-side scratch reallocations during
-	// bind (shard array, transmitter bitset, payload array, hand-off
-	// cursors). A warm pool holds this at zero; nonzero on pooled runs
-	// means the workload outgrew the pool's buffers.
+	// bind (shard array, round calendars, transmitter bitset, payload
+	// array, hand-off cursors). A warm pool holds this at zero; nonzero on
+	// pooled runs means the workload outgrew the pool's buffers.
 	BufferGrows int
 	// ShardBusyNs[i] is the time shard i spent executing phase work
 	// (collect/apply and receive), summed over all rounds.
@@ -67,9 +67,10 @@ type RunPerf struct {
 	// whose next intent batch had not arrived and had to wait for it
 	// (yield, then block). Nodes hand batches over only when they start a
 	// listen run, halt, or fill a batch, so a run whose nodes run far
-	// ahead waits about once per batch, not once per intent, and a node
-	// listening through a ListenFor stretch waits at most once for it,
-	// not once per round listened.
+	// ahead waits about once per batch, not once per intent; a node
+	// listening through a ListenFor stretch waits at most once for it, not
+	// once per round listened; and a sender's TransmitRun, two slots of a
+	// batch for up to 63 rounds, rarely fills one.
 	HandoffWaits uint64
 
 	// SliceEvery, when > 0, samples the round loop into coarse RoundSlices:

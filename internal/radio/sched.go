@@ -3,6 +3,7 @@ package radio
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sync"
 	"time"
@@ -42,11 +43,21 @@ import (
 //     intent the scheduler serves again every round until the node hears
 //     something or the run is spent (reply), so a receiver that listens
 //     through a backoff costs one switch per message heard, not per round.
+//     A transmit run (Env.TransmitRun) is one intent the scheduler serves
+//     again at each of its transmitting rounds (runRound), so a sender's
+//     backoff costs one scheduler visit per transmission, not per slot.
 //
-// Event scheduling exploits that almost every event lands on the next
-// round: an awake action at round r schedules the node at r+1, which goes
-// into a per-shard append-only bucket, already in ascending id order. Only
-// sleeps and crash-restarts (round > r+1) touch the per-shard binary heap.
+// Event scheduling exploits that almost every event lands within a few
+// rounds: an awake action at round r schedules the node at r+1, and the
+// gaps of sleeps and transmit runs are mostly a few rounds long. Each
+// shard keeps a round calendar of 64 buckets, one per round of the next
+// 64, each a bitset over the shard's ids (shard bounds are 64-aligned, so
+// bit positions are id bits), plus one occupancy word naming the
+// non-empty buckets. Only events more than 64 rounds out — long sleeps,
+// crash restarts, staggered wake-ups — go to the per-shard binary heap,
+// which drains each round's events into its bucket as the round begins.
+// A bit scan of the bucket then yields the due set in ascending id order,
+// with no sort or merge.
 //
 // Determinism contract: the scheduler produces bit-identical Results (and
 // observer event streams, and errors) to the reference engine at any fixed
@@ -88,13 +99,17 @@ type schedErr struct {
 type shard struct {
 	lo, hi int // node id range [lo, hi)
 
-	// Round scheduling: cur is the due set of the current round, next the
-	// bucket of events for the immediately following round (both ascending
-	// by id), and heap holds the rare farther-out events (sleeps, crash
-	// restarts).
-	cur  []int32
-	next []int32
-	heap eventHeap
+	// Round scheduling: cur is the due set of the current round, ascending
+	// by id. cal is the round calendar: bucket b, the words
+	// cal[b·words:(b+1)·words], is the bitset over the shard's ids of the
+	// nodes due in the round ≡ b (mod 64) among the 64 after the current
+	// one, and bit b of occ is set when that bucket holds any. heap holds
+	// the events farther out.
+	cur   []int32
+	cal   []uint64
+	words int
+	occ   uint64
+	heap  eventHeap
 
 	// intents holds the round's collected intents, parallel to cur. The
 	// fast path applies intents as it collects; the fault path collects
@@ -336,7 +351,14 @@ func (s *sched) bind(g *graph.Graph, csr *graph.CSR, cfg *Config, inj *faults.In
 		sh.lo = i * size
 		sh.hi = min(n, (i+1)*size)
 		sh.cur = sh.cur[:0]
-		sh.next = sh.next[:0]
+		sh.words = (sh.hi - sh.lo + 63) / 64
+		if cap(sh.cal) < 64*sh.words {
+			sh.cal = make([]uint64, 64*sh.words)
+			s.perfGrow()
+		}
+		sh.cal = sh.cal[:64*sh.words]
+		clear(sh.cal)
+		sh.occ = 0
 		sh.heap = sh.heap[:0]
 		sh.txIDs = sh.txIDs[:0]
 		sh.listeners = sh.listeners[:0]
@@ -474,24 +496,29 @@ func (s *sched) loop() error {
 // whenever the loop runs.
 func (s *sched) nextRound() uint64 {
 	r := ^uint64(0)
+	base := s.round + 1
 	for i := range s.shards {
 		sh := &s.shards[i]
-		if len(sh.next) > 0 {
-			// The bucket always holds the immediately next round, which no
-			// heap entry anywhere can beat.
-			return s.round + 1
+		if sh.occ != 0 {
+			// Rotate bit base&63 to the bottom: bit k then stands for
+			// round base+k.
+			ahead := uint64(bits.TrailingZeros64(bits.RotateLeft64(sh.occ, -int(base&63))))
+			if ahead == 0 {
+				return base // nothing anywhere can beat the next round
+			}
+			r = min(r, base+ahead)
 		}
-		if len(sh.heap) > 0 && sh.heap.peekRound() < r {
-			r = sh.heap.peekRound()
+		if len(sh.heap) > 0 {
+			r = min(r, sh.heap.peekRound())
 		}
 	}
 	return r
 }
 
 // beginRound resets the shard's per-round buffers, clears its transmitter
-// bits from the previous round, and materializes the due set for round r by
-// merging the next-round bucket with any heap events that landed on r. Both
-// sources are ascending by id, so cur comes out ascending.
+// bits from the previous round, and materializes the due set for round r:
+// the heap's events for r join r's calendar bucket, and a bit scan reads
+// the bucket out in ascending id order, clearing it for round r+64.
 func (sh *shard) beginRound(r uint64, txBits []uint64) {
 	for _, id := range sh.txIDs {
 		txBits[id>>6] &^= 1 << (id & 63)
@@ -502,28 +529,68 @@ func (sh *shard) beginRound(r uint64, txBits []uint64) {
 	sh.err = schedErr{id: -1}
 
 	sh.cur = sh.cur[:0]
-	ni := 0
+	b := r & 63
+	bucket := sh.cal[int(b)*sh.words : int(b+1)*sh.words]
 	for len(sh.heap) > 0 && sh.heap.peekRound() == r {
-		id := int32(sh.heap.pop().id)
-		for ni < len(sh.next) && sh.next[ni] < id {
-			sh.cur = append(sh.cur, sh.next[ni])
-			ni++
-		}
-		sh.cur = append(sh.cur, id)
+		rel := sh.heap.pop().id - sh.lo
+		bucket[rel>>6] |= 1 << (rel & 63)
+		sh.occ |= 1 << b
 	}
-	sh.cur = append(sh.cur, sh.next[ni:]...)
-	sh.next = sh.next[:0]
+	if sh.occ>>b&1 == 0 {
+		return
+	}
+	sh.occ &^= 1 << b
+	for w, word := range bucket {
+		if word == 0 {
+			continue
+		}
+		bucket[w] = 0
+		base := int32(sh.lo + 64*w)
+		for ; word != 0; word &= word - 1 {
+			sh.cur = append(sh.cur, base+int32(bits.TrailingZeros64(word)))
+		}
+	}
 }
 
-// push schedules node id's next event: the common r+1 case goes to the
-// append-only bucket (order-preserving, no heap churn), anything farther to
-// the heap.
+// push schedules node id's next event at round, from the current round
+// cur: into round's calendar bucket when it is at most 64 rounds out, into
+// the heap otherwise.
 func (sh *shard) push(round, cur uint64, id int32) {
-	if round == cur+1 {
-		sh.next = append(sh.next, id)
+	if round-cur <= 64 {
+		b := round & 63
+		rel := int(id) - sh.lo
+		sh.cal[int(b)*sh.words+rel>>6] |= 1 << (rel & 63)
+		sh.occ |= 1 << b
 		return
 	}
 	sh.heap.push(event{round: round, id: int(id)})
+}
+
+// runRound serves round r of node id's transmit run, whose header hdr the
+// node's cursor has just taken; the cursor's ran holds the round's offset
+// in the run. It returns the round's action — a transmit of the run's
+// payload, or a sleep through the gap before the run's first transmit —
+// and the round of the node's next event: the run's next transmit, or the
+// round after the run. The cursor stays on the header while transmits
+// remain and moves past the run's payload slot after the last.
+func (s *sched) runRound(id int32, hdr intent, r uint64) (intent, uint64) {
+	c := &s.cursors[id]
+	i := c.ran
+	payload := c.batch[c.pos].arg
+	// The next set bit of the header above offset i: the run's next
+	// transmit, or the span marker when none is left.
+	j := i + 1 + uint64(bits.TrailingZeros64(hdr.arg>>(i+1)))
+	if hdr.arg>>j == 1 {
+		c.ran = 0
+		c.pos++
+	} else {
+		c.ran = j
+		c.pos--
+	}
+	if hdr.arg>>i&1 == 0 {
+		return intent{kind: intentSleep, arg: j - i}, r + j - i
+	}
+	return intent{kind: intentTransmit, arg: payload, phase: hdr.phase}, r + j - i
 }
 
 // collectApply is the clean-path phase 1: consume each due node's intent
@@ -540,6 +607,10 @@ func (s *sched) collectApply(sh *shard) {
 	}
 	for _, id := range sh.cur {
 		it := s.take(sh, id)
+		next := r + 1
+		if it.kind == intentTransmitRun {
+			it, next = s.runRound(id, it, r)
+		}
 		switch it.kind {
 		case intentTransmit:
 			if s.unaryOnly && it.arg != 1 && sh.err.id < 0 {
@@ -552,7 +623,7 @@ func (s *sched) collectApply(sh *shard) {
 			if obs {
 				sh.tx = append(sh.tx, NodeTx{ID: int(id), Phase: it.phase, Payload: it.arg})
 			}
-			sh.push(r+1, r, id)
+			sh.push(next, r, id)
 		case intentListen:
 			sh.listeners = append(sh.listeners, id)
 			s.res.Energy[id]++
@@ -714,6 +785,10 @@ func (s *sched) faultRound(r uint64) error {
 		sh := &s.shards[i]
 		for k, id := range sh.cur {
 			it := sh.intents[k]
+			next := r + 1
+			if it.kind == intentTransmitRun {
+				it, next = s.runRound(id, it, r)
+			}
 			env := s.envs[id]
 			// Crash faults strike awake actions: the node dies before the
 			// action takes effect (no transmission, no listen, no energy
@@ -755,7 +830,7 @@ func (s *sched) faultRound(r uint64) error {
 				if obs != nil {
 					s.stats.Transmitters = append(s.stats.Transmitters, NodeTx{ID: int(id), Phase: it.phase, Payload: it.arg})
 				}
-				sh.push(r+1, r, id)
+				sh.push(next, r, id)
 			case intentListen:
 				sh.listeners = append(sh.listeners, id)
 				res.Energy[id]++

@@ -59,6 +59,34 @@ func runAheadBenchProgram(env *Env) int64 {
 	return heard
 }
 
+// txRunBenchProgram is runAheadBenchProgram with its backoffs submitted
+// as backoff.Send submits them: the slots of ⌊63/slots⌋ iterations drawn
+// first, in the same order, and handed over as one TransmitRun. Its
+// Results are runAheadBenchProgram's; on the scheduler a sender costs one
+// visit per transmission instead of one per Sleep and Transmit.
+func txRunBenchProgram(env *Env) int64 {
+	const slots, iters = 8, 16
+	const per = maxRunSpan / slots
+	heard := int64(0)
+	for phase := 0; phase < 10; phase++ {
+		env.Phase("send")
+		for i := 0; i < iters; i += per {
+			k := min(per, iters-i)
+			var mask uint64
+			for it := 0; it < k; it++ {
+				x := 1 + bits.TrailingZeros64(env.Rand().Uint64()|1<<(slots-1))
+				mask |= 1 << (it*slots + x - 1)
+			}
+			env.TransmitRun(mask, uint64(k*slots), 1)
+		}
+		env.Phase("check")
+		if env.Listen().Kind != Silence {
+			heard++
+		}
+	}
+	return heard
+}
+
 // listenBenchProgram is the benchmark's listen-run workload: the awake
 // profile of the no-CD algorithm's receivers. Each phase a node either
 // sends — a Send-style backoff of 15 iterations over 4 slots — or
@@ -91,11 +119,11 @@ func listenBenchProgram(env *Env) int64 {
 }
 
 // BenchmarkRun measures end-to-end trial throughput — complete Run calls
-// per second — comparing four engine configurations on four workloads:
+// per second — comparing four engine configurations on five workloads:
 // the scheduler's acceptance workload G(n=4096, p=8/n), a smaller control
-// at n=1024, and the run-ahead and listen-run workloads of the no-CD
-// algorithms on an 8×8 grid (no lane twin, so benchdiff.py --lockstep
-// skips them). The configurations are:
+// at n=1024, and the run-ahead, transmit-run and listen-run workloads of
+// the no-CD algorithms on an 8×8 grid (no lane twin, so benchdiff.py
+// --lockstep skips them). The configurations are:
 //
 //	reference  the preserved pre-rework engine (single-slot channel
 //	           rendezvous, heap-only scheduling)
@@ -127,6 +155,7 @@ func BenchmarkRun(b *testing.B) {
 	}
 	works = append(works,
 		workload{"runahead/grid/n=64", graph.Grid2D(8, 8), runAheadBenchProgram},
+		workload{"txrun/grid/n=64", graph.Grid2D(8, 8), txRunBenchProgram},
 		workload{"listen/grid/n=64", graph.Grid2D(8, 8), listenBenchProgram})
 	for _, w := range works {
 		for _, engine := range []string{"reference", "sched", "pooled", "perf"} {

@@ -209,3 +209,53 @@ func TestEmit(t *testing.T) {
 		t.Fatalf("emitted span wrong: %+v", sp)
 	}
 }
+
+// FuzzParseTraceparent feeds ParseTraceparent arbitrary header values. It
+// must never panic. A header it accepts holds the decoded IDs in its
+// fields, and re-renders through SpanContext.Traceparent to a header that
+// parses back to the same context. The same header with its hex in
+// uppercase, with the reserved version ff, or with an all-zero trace or
+// span ID must be rejected.
+func FuzzParseTraceparent(f *testing.F) {
+	for _, h := range []string{
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",
+		"01-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-00-what",
+		"fe-00000000000000000000000000000001-0000000000000001-ff-",
+		"00-4BF92F3577B34DA6A3CE929D0E0E4736-00f067aa0ba902b7-01",
+		"ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",
+		"00-00000000000000000000000000000000-00f067aa0ba902b7-01",
+		"",
+	} {
+		f.Add(h)
+	}
+	f.Fuzz(func(t *testing.T, h string) {
+		sc, ok := ParseTraceparent(h)
+		if !ok {
+			if sc != (SpanContext{}) {
+				t.Fatalf("rejected %q but returned %+v", h, sc)
+			}
+			return
+		}
+		if h[3:35] != sc.Trace.String() || h[36:52] != sc.Span.String() {
+			t.Fatalf("accepted %q as trace %s span %s", h, sc.Trace, sc.Span)
+		}
+		back := sc.Traceparent()
+		if again, ok := ParseTraceparent(back); !ok || again != sc {
+			t.Fatalf("%q re-renders as %q, which parses to %+v, %v", h, back, again, ok)
+		}
+		invalid := map[string]string{
+			"uppercase":  h[:3] + strings.ToUpper(h[3:55]) + h[55:],
+			"version ff": "ff" + h[2:],
+			"zero trace": h[:3] + strings.Repeat("0", 32) + h[35:],
+			"zero span":  h[:36] + strings.Repeat("0", 16) + h[52:],
+		}
+		for what, bad := range invalid {
+			if bad == h {
+				continue // no hex letters to raise
+			}
+			if _, ok := ParseTraceparent(bad); ok {
+				t.Fatalf("accepted %q (%s of %q)", bad, what, h)
+			}
+		}
+	})
+}

@@ -32,7 +32,7 @@ and BENCHMARK.json; it runs `bash radiobench/run.sh` in each. Per
 workload, it runs one untraced pair per seed (SEEDS is a list such as
 61-70 or 61,63), each as long as run_seconds in the repository root's
 BENCHMARK.json, starting with the parent on the first seed and switching
-the side that runs first at every seed ("ranFirst"); then two traced
+the side that runs first at every seed ("ranFirst"); then three traced
 runs a side at seed 7, 10 s each, alternating the same way. Progress
 goes to standard error. The file is written once every run has
 finished, with each run that printed a result line. Exit status: 1 when
@@ -139,7 +139,7 @@ def print_traced(runs, workload):
 
 
 # collect's traced runs: TRACED_RUNS a side and workload, all at one seed.
-TRACED_SEED, TRACED_SECONDS, TRACED_RUNS = 7, 10, 2
+TRACED_SEED, TRACED_SECONDS, TRACED_RUNS = 7, 10, 3
 UNTRACED = "bash radiobench/run.sh --workload W --seed S --seconds {seconds:g} --trace 0"
 TRACED = f"bash radiobench/run.sh --workload W --seed {TRACED_SEED} --seconds {TRACED_SECONDS} --trace 1"
 
