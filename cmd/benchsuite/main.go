@@ -15,7 +15,7 @@
 // The -json report follows the stable experiments.SchemaVersion layout:
 // every experiment's tables plus its metric summaries
 // (count/mean/std/min/max/median/p90 per (series, x, metric) point), a
-// host header (go version, GOMAXPROCS, engine pool shards), and a
+// host header (go version, GOMAXPROCS, CPU count), and a
 // per-experiment perf section summarizing the trial wall-time histogram
 // (timing only — metric points stay deterministic in seed and scale).
 package main

@@ -98,7 +98,7 @@ func TestJSONReportSchema(t *testing.T) {
 	if jr.Host == nil {
 		t.Fatal("report missing host header")
 	}
-	if jr.Host.GoVersion == "" || jr.Host.GOMAXPROCS < 1 || jr.Host.NumCPU < 1 || jr.Host.PoolShards < 1 {
+	if jr.Host.GoVersion == "" || jr.Host.GOMAXPROCS < 1 || jr.Host.NumCPU < 1 || jr.Host.Shards != 1 {
 		t.Errorf("host header incomplete: %+v", jr.Host)
 	}
 	for _, exp := range jr.Experiments {

@@ -38,10 +38,10 @@ type JSONHost struct {
 	GOARCH     string `json:"goarch"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
 	NumCPU     int    `json:"numCpu"`
-	// PoolShards is the engine shard count each harness worker's
-	// radio.Pool gets at the suite's trial parallelism (experiments run
-	// harness.Repeat at the default parallelism, GOMAXPROCS).
-	PoolShards int `json:"poolShards"`
+	// Shards is the number of goroutines the scalar round scheduler
+	// splits one trial's rounds across: always 1. It keeps the report
+	// schema of suites that ran on a sharded scheduler.
+	Shards int `json:"poolShards"`
 	// Pooled records that trials run on per-worker engine pools (always
 	// true for harness batches; recorded so readers need not know that).
 	Pooled bool `json:"pooled"`
@@ -55,7 +55,7 @@ func CaptureHost() *JSONHost {
 		GOARCH:     runtime.GOARCH,
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
-		PoolShards: harness.PoolShards(0),
+		Shards:     1,
 		Pooled:     true,
 	}
 }

@@ -201,17 +201,14 @@ func RepeatBatches(ctx context.Context, opts Options, group int, f BatchFunc) (*
 	)
 	// Each worker borrows one radio.Pool from the process-wide cache for
 	// its whole share of the batch, so consecutive trials reuse the
-	// engine's worker shards, round buffers, lane result buffers and CSR
-	// adjacency snapshot, and the next call's workers find the buffers
-	// already grown. Splitting the machine's parallelism across the
-	// workers keeps a parallel batch from oversubscribing cores with
-	// engine shards.
-	shardsPer := PoolShards(par)
+	// engine's round buffers, lane result buffers and CSR adjacency
+	// snapshot, and the next call's workers find the buffers already
+	// grown.
 	for w := 0; w < par; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			pool := radio.AcquirePool(shardsPer)
+			pool := radio.AcquirePool()
 			defer pool.Release()
 			wctx := radio.WithPool(tctx, pool)
 			seeds := make([]uint64, 0, group)
@@ -295,23 +292,6 @@ feed:
 		}
 	}
 	return agg, nil
-}
-
-// PoolShards reports the engine shard count each Repeat worker's cached
-// radio.Pool is set up for at the given trial parallelism (≤ 0 means
-// GOMAXPROCS): the machine's parallelism divided across the workers, at
-// least 1. It is
-// exported so report headers (benchsuite's host section) can record the
-// exact pool configuration Repeat used.
-func PoolShards(parallelism int) int {
-	if parallelism <= 0 {
-		parallelism = runtime.GOMAXPROCS(0)
-	}
-	shards := runtime.GOMAXPROCS(0) / parallelism
-	if shards < 1 {
-		shards = 1
-	}
-	return shards
 }
 
 // Point is one x-position of a series (typically a network size) with its

@@ -73,17 +73,3 @@ func TestRepeatWithoutRegistryRegistersNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestPoolShards pins the worker-shard split recorded in report headers to
-// what Repeat actually uses.
-func TestPoolShards(t *testing.T) {
-	if got := PoolShards(1); got < 1 {
-		t.Errorf("PoolShards(1) = %d, want ≥ 1", got)
-	}
-	if got := PoolShards(1 << 20); got != 1 {
-		t.Errorf("PoolShards(huge) = %d, want 1", got)
-	}
-	if got, def := PoolShards(0), PoolShards(-1); got != def {
-		t.Errorf("PoolShards(0) = %d but PoolShards(-1) = %d; both should mean GOMAXPROCS", got, def)
-	}
-}

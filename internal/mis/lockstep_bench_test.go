@@ -41,8 +41,7 @@ func BenchmarkRunMany(b *testing.B) {
 				opts.Engine = EngineScalar
 			}
 			if variant == "scalar-pooled" || variant == "lockstep-pooled" {
-				pool := radio.NewPool(0)
-				defer pool.Close()
+				pool := radio.NewPool()
 				opts.Ctx = radio.WithPool(opts.Ctx, pool)
 			}
 			var rounds uint64
@@ -60,7 +59,7 @@ func BenchmarkRunMany(b *testing.B) {
 					}
 					return
 				}
-				pool := radio.AcquirePool(1)
+				pool := radio.AcquirePool()
 				defer pool.Release()
 				o := opts
 				o.Ctx = radio.WithPool(opts.Ctx, pool)

@@ -222,8 +222,7 @@ func TestRunManyEmptyAndPooled(t *testing.T) {
 		t.Fatalf("empty batch = (%v, %v), want ([], nil)", results, err)
 	}
 	// A pooled rerun must be bit-identical to the cold run.
-	pool := radio.NewPool(0)
-	defer pool.Close()
+	pool := radio.NewPool()
 	ctx := radio.WithPool(context.Background(), pool)
 	seeds := manySeeds(11, 65)
 	cold, err := RunMany("cd", g, p, ManyOpts{Seeds: seeds})
@@ -330,7 +329,7 @@ func TestRunManyFuncParity(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					pool := radio.AcquirePool(1)
+					pool := radio.AcquirePool()
 					defer pool.Release()
 					each, err := collectManyFunc(algo, g, p, ManyOpts{Seeds: seeds, Ctx: radio.WithPool(context.Background(), pool)})
 					if err != nil {
@@ -381,7 +380,7 @@ func TestRunManyCachedReuse(t *testing.T) {
 		{"gnp200", graph.GNP(200, 6.0/200, rng.New(29)), Params{}},
 		{"grid1024-changed", grid, changed},
 	}
-	pool := radio.AcquirePool(1)
+	pool := radio.AcquirePool()
 	defer pool.Release()
 	ctx := radio.WithPool(context.Background(), pool)
 	for _, algo := range laneAlgos {
@@ -410,7 +409,7 @@ func TestRunManyFuncCallbackError(t *testing.T) {
 	g := graph.GNP(96, 6.0/96, rng.New(31))
 	p := ParamsDefault(g.N(), g.MaxDegree())
 	seeds := manySeeds(8, 130)
-	pool := radio.AcquirePool(1)
+	pool := radio.AcquirePool()
 	defer pool.Release()
 	ctx := radio.WithPool(context.Background(), pool)
 	stop := errors.New("stop")
@@ -482,7 +481,7 @@ func FuzzRunManyParity(f *testing.F) {
 		// The lockstep side runs the callback form on a cached pool, so
 		// the fuzzer's calls also exercise the reuse of pools, lane twins
 		// and lane results across graphs, Params and lane counts.
-		pool := radio.AcquirePool(1)
+		pool := radio.AcquirePool()
 		lock, lerr := collectManyFunc(algo, g, p, ManyOpts{Seeds: seeds, Ctx: radio.WithPool(ctx, pool), Engine: EngineLockstep})
 		pool.Release()
 		if (serr == nil) != (lerr == nil) {

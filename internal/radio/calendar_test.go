@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -19,62 +20,63 @@ func TestIntentSize(t *testing.T) {
 	}
 }
 
-// TestCalendarRingAndHeap drives one shard's round calendar directly: an
-// event 64 rounds out goes to its ring bucket and one 65 rounds out to the
-// heap; due sets come out in ascending id order; and a heap event drains
-// into a round whose bucket already holds ring events, between their ids.
+// TestCalendarRingAndHeap drives the scheduler's round calendar directly:
+// an event 64 rounds out goes to its ring bucket and one 65 rounds out to
+// the heap; due sets come out in ascending id order, across bitset words;
+// and a heap event drains into a round whose bucket already holds ring
+// events, between their ids.
 func TestCalendarRingAndHeap(t *testing.T) {
-	s := &sched{shards: make([]shard, 1)}
-	sh := &s.shards[0]
-	sh.lo, sh.hi, sh.words = 64, 200, 3
-	sh.cal = make([]uint64, 64*sh.words)
+	s := &sched{words: 4}
+	s.cal = make([]uint64, 64*s.words)
 	due := func(r uint64, want ...int32) {
 		t.Helper()
 		if got := s.nextRound(); got != r {
 			t.Fatalf("next round %d, want %d", got, r)
 		}
 		s.round = r
-		sh.beginRound(r, nil)
-		if !reflect.DeepEqual(sh.cur, want) {
-			t.Fatalf("round %d: due %v, want %v", r, sh.cur, want)
+		s.beginRound(r)
+		if !reflect.DeepEqual(s.cur, want) {
+			t.Fatalf("round %d: due %v, want %v", r, s.cur, want)
 		}
 	}
 	s.round = 10
-	sh.push(10+64, 10, 70)
-	if len(sh.heap) != 0 || sh.occ != 1<<(74&63) {
-		t.Fatalf("64 rounds out: heap %v, occupancy %#x; want the ring bucket", sh.heap, sh.occ)
+	s.push(10+64, 10, 70)
+	if len(s.heap) != 0 || s.occ != 1<<(74&63) {
+		t.Fatalf("64 rounds out: heap %v, occupancy %#x; want the ring bucket", s.heap, s.occ)
 	}
-	sh.push(10+65, 10, 71)
-	if len(sh.heap) != 1 {
-		t.Fatalf("65 rounds out: heap %v, want the event", sh.heap)
+	s.push(10+65, 10, 71)
+	if len(s.heap) != 1 {
+		t.Fatalf("65 rounds out: heap %v, want the event", s.heap)
 	}
-	sh.push(11, 10, 199)
-	sh.push(11, 10, 64)
-	sh.push(11, 10, 128)
-	due(11, 64, 128, 199)
+	s.push(11, 10, 199)
+	s.push(11, 10, 64)
+	s.push(11, 10, 128)
+	s.push(11, 10, 0)
+	due(11, 0, 64, 128, 199)
 	due(74, 70)
 	due(75, 71)
 
-	sh.push(300, 75, 150) // heap
-	sh.push(139, 75, 100)
+	s.push(300, 75, 150) // heap
+	s.push(139, 75, 100)
 	due(139, 100)
-	sh.push(203, 139, 100)
+	s.push(203, 139, 100)
 	due(203, 100)
-	sh.push(250, 203, 100)
+	s.push(250, 203, 100)
 	due(250, 100)
-	for _, id := range []int32{199, 64, 100, 151, 149} {
-		sh.push(300, 250, id)
+	for _, id := range []int32{199, 64, 100, 151, 149, 255} {
+		s.push(300, 250, id)
 	}
-	due(300, 64, 100, 149, 150, 151, 199)
-	if len(sh.heap) != 0 || sh.occ != 0 || sh.cal[(300&63)*3] != 0 {
-		t.Fatalf("calendar not empty after its last round: heap %v, occupancy %#x", sh.heap, sh.occ)
+	due(300, 64, 100, 149, 150, 151, 199, 255)
+	b := int(300&63) * s.words
+	if len(s.heap) != 0 || s.occ != 0 || slices.ContainsFunc(s.cal[b:b+s.words], func(w uint64) bool { return w != 0 }) {
+		t.Fatalf("calendar not empty after its last round: heap %v, occupancy %#x", s.heap, s.occ)
 	}
 }
 
 // calendarProgram sleeps for lengths around the calendar's 64-round
 // horizon — one round, 63, 64, 65, 127 to 129 and 200 — between transmits
 // and listens, so that events that went to the heap and events that went to
-// a ring bucket fall due in the same rounds, on every shard.
+// a ring bucket fall due in the same rounds.
 func calendarProgram(env *Env) int64 {
 	gaps := [...]uint64{1, 63, 64, 65, 127, 128, 129, 200}
 	env.Phase("calendar")
@@ -93,7 +95,7 @@ func calendarProgram(env *Env) int64 {
 }
 
 // TestCalendarParity runs programs whose events straddle the calendar's
-// horizon against the reference engine at 1 to 4 shards: sleeps of 64 and
+// horizon against the reference engine, fresh and pooled: sleeps of 64 and
 // 65 rounds and beyond, crash restarts after delays of 1, 64, 65 and 300
 // rounds, and wake rounds spread past 64, including 63, 64, 65 and 128.
 func TestCalendarParity(t *testing.T) {

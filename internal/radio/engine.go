@@ -63,16 +63,9 @@ type Config struct {
 	// the paper's §1.3 claim that its algorithms perform only unary
 	// communication (and are therefore beeping-compatible).
 	UnaryOnly bool
-	// Shards fixes the round scheduler's worker-shard count. 0 means
-	// automatic (scaled to GOMAXPROCS and the graph size, and never more
-	// than an installed Pool provides). The result of a run is bit-for-bit
-	// independent of the shard count; Shards only trades scheduling
-	// overhead against parallelism. See the package Pool for reusing
-	// worker shards across runs.
-	Shards int
 	// Perf, when non-nil, receives the run's scheduler performance
-	// counters (barrier waits, shard busy time, pool/CSR reuse, buffer
-	// growth — see RunPerf). Collection is out-of-band: the Result and
+	// counters (executed rounds, loop time, hand-off waits, pool/CSR
+	// reuse, buffer growth — see RunPerf). Collection is out-of-band: the Result and
 	// observer stream are bit-identical with Perf set or nil, and a nil
 	// Perf costs the scheduler nothing. The preserved reference engine
 	// ignores it.
@@ -166,15 +159,16 @@ const batchCap = 32
 // exhausted; in that case all node goroutines are torn down before Run
 // returns.
 //
-// Runs execute on the sharded round scheduler (see sched.go): a fixed set
-// of worker shards advances all awake nodes one phase-barriered round at a
-// time. Attach a Pool (WithPool) to reuse the scheduler's workers and round
-// buffers across many runs, e.g. across the trials of a benchmark batch.
+// Runs execute on the round scheduler (see sched.go), which advances all
+// awake nodes one round at a time on the calling goroutine. Attach a Pool
+// (WithPool) to reuse the scheduler's round buffers, the nodes' intent
+// batches and the CSR snapshot across many runs, e.g. across the trials of
+// a benchmark batch.
 func Run(g *graph.Graph, cfg Config, program Program) (*Result, error) {
 	return run(g, cfg, program, false)
 }
 
-// run is the shared entry point behind Run (sharded scheduler) and
+// run is the shared entry point behind Run (round scheduler) and
 // runReference (the pre-rework engine kept for differential testing).
 func run(g *graph.Graph, cfg Config, program Program, reference bool) (*Result, error) {
 	if cfg.Model < ModelCD || cfg.Model > ModelBeep {

@@ -68,7 +68,7 @@ type Env struct {
 	// a plain send guarded by one atomic load of down, and a listen's wait
 	// a plain receive — roughly a third of the cost of the historical three-way
 	// selects. It is enabled whenever nothing can preempt a blocked node
-	// mid-run: the sharded scheduler with no crash faults configured.
+	// mid-run: the round scheduler with no crash faults configured.
 	// Crash-fault runs keep the select discipline because a blocked node
 	// must stay receptive to crashCh, and the reference engine keeps it
 	// because that synchronization cost is part of what it preserves. See

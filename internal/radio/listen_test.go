@@ -46,8 +46,7 @@ func TestListenForEdges(t *testing.T) {
 		}
 		return 0
 	}
-	pool := NewPool(1)
-	defer pool.Close()
+	pool := NewPool()
 	for _, model := range []Model{ModelCD, ModelNoCD} {
 		for _, engine := range []string{"reference", "sched", "pooled", "select"} {
 			cfg := Config{Model: model, Seed: 1}
@@ -147,7 +146,7 @@ func scriptProgram(script []byte) Program {
 // scripts (see scriptProgram) on a small random graph, under a fuzzed model
 // and fault profile and a 512-round cap that the longest runs reach, must
 // give the reference engine's Result, error and observer stream on the
-// scheduler, fresh and pooled, at 1 and 2 shards.
+// scheduler, fresh and pooled.
 func FuzzListenForParity(f *testing.F) {
 	f.Add(uint8(12), uint8(60), uint8(0), uint8(0), []byte{0x1b, 0x02, 0x08, 0x53, 0x06, 0xf4, 0x17})
 	f.Add(uint8(70), uint8(20), uint8(1), uint8(0), []byte{0x03, 0x0b, 0x00, 0x4c, 0x07, 0x02, 0x31})
@@ -169,14 +168,8 @@ func FuzzListenForParity(f *testing.F) {
 		}
 		program := scriptProgram(script)
 		want := referenceRun(g, cfg, program)
-		pool := NewPool(2)
-		defer pool.Close()
-		for _, shards := range []int{1, 2} {
-			c := cfg
-			c.Shards = shards
-			want.match(t, fmt.Sprintf("fresh shards=%d", shards), g, c, program)
-			c.Ctx = WithPool(context.Background(), pool)
-			want.match(t, fmt.Sprintf("pooled shards=%d", shards), g, c, program)
-		}
+		want.match(t, "fresh", g, cfg, program)
+		cfg.Ctx = WithPool(context.Background(), NewPool())
+		want.match(t, "pooled", g, cfg, program)
 	})
 }

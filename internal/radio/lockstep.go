@@ -205,9 +205,9 @@ type roundStamp struct {
 // is ignored (seeds come per lane), MaxRounds, WakeRound (shared by all
 // lanes), UnaryOnly (it holds by construction: a lane transmits only the
 // unary bit). Observer and Faults are scalar-engine features —
-// configuring them is an error, not a silent no-op; Perf and Shards are
-// ignored (the lockstep coordinator is single-threaded: its parallelism is
-// the lanes).
+// configuring them is an error, not a silent no-op; Perf is ignored. Like
+// the scalar scheduler, the lockstep coordinator runs on the calling
+// goroutine: its parallelism is the lanes.
 //
 // Attach a Pool (WithPool) to reuse the engine's scratch, result buffers
 // and CSR snapshot across batches, exactly like scalar Run.

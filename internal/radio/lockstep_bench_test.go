@@ -26,8 +26,7 @@ func BenchmarkRunLockstep(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/gnp/n=%d", engine, n), func(b *testing.B) {
 				ctx := context.Background()
 				if engine == "lockstep-pooled" {
-					pool := NewPool(0)
-					defer pool.Close()
+					pool := NewPool()
 					ctx = WithPool(ctx, pool)
 				}
 				lp := &benchLaneProgram{}

@@ -403,8 +403,7 @@ func runBothLockstep(t *testing.T, g *graph.Graph, cfg Config, pair lanePair, se
 	}
 	probed(t, "standalone", cfg)
 
-	pool := NewPool(2)
-	defer pool.Close()
+	pool := NewPool()
 	base := cfg.Ctx
 	if base == nil {
 		base = context.Background()
@@ -635,8 +634,7 @@ func TestLockstepParityMaxRounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := NewPool(1)
-	defer pool.Close()
+	pool := NewPool()
 	ctx := WithPool(context.Background(), pool)
 	if _, _, err := collectLockstep(g, Config{Model: ModelCD, Ctx: ctx}, &benchLaneProgram{}, laneSeeds(MaxLanes, 78)); err != nil {
 		t.Fatal(err)
@@ -658,8 +656,7 @@ func TestLockstepRagged65(t *testing.T) {
 	seeds := laneSeeds(65, 9)
 	for pname, pair := range lockstepPairs() {
 		t.Run(pname, func(t *testing.T) {
-			pool := NewPool(2)
-			defer pool.Close()
+			pool := NewPool()
 			ctx := WithPool(context.Background(), pool)
 			for _, chunk := range [][]uint64{seeds[:64], seeds[64:]} {
 				c := Config{Model: ModelCD, Ctx: ctx}
@@ -759,8 +756,7 @@ func TestLockstepSleepZeroClamp(t *testing.T) {
 		lanes = append(lanes, l)
 	}
 	want := fmt.Sprintf("radio: lane program left lanes %v of node 1 without an action in round 1", lanes)
-	pool := NewPool(1)
-	defer pool.Close()
+	pool := NewPool()
 	for _, ctx := range []context.Context{context.Background(), WithPool(context.Background(), pool)} {
 		err := RunLockstep(g, Config{Model: ModelCD, Ctx: ctx}, &noActionLaneProgram{}, laneSeeds(MaxLanes, 1),
 			func(l int, _ *Result, _ error) error {
@@ -811,8 +807,7 @@ func TestLockstepRejectsScalarOnlyConfig(t *testing.T) {
 // lane. The budget leaves room for the deferred hand-back of the scratch.
 func TestLockstepPooledSteadyStateAllocs(t *testing.T) {
 	g := graph.GNP(512, 8.0/512, rand.New(rand.NewSource(7)))
-	pool := NewPool(1)
-	defer pool.Close()
+	pool := NewPool()
 	ctx := WithPool(context.Background(), pool)
 	lp := &benchLaneProgram{}
 	seeds := laneSeeds(64, 2)
@@ -840,8 +835,7 @@ func TestLockstepPooledSteadyStateAllocs(t *testing.T) {
 // the pool then serves a correct batch.
 func TestLockstepCallbackErrorStopsBatch(t *testing.T) {
 	g := graph.Cycle(40)
-	pool := NewPool(1)
-	defer pool.Close()
+	pool := NewPool()
 	cfg := Config{Model: ModelCD, Ctx: WithPool(context.Background(), pool)}
 	stop := errors.New("stop")
 	var lanes []int
@@ -873,8 +867,7 @@ func TestLockstepNestedOnPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := NewPool(1)
-	defer pool.Close()
+	pool := NewPool()
 	cfg := Config{Model: ModelCD, Ctx: WithPool(context.Background(), pool)}
 	err = RunLockstep(g, cfg, pair.lane(), seeds, func(l int, res *Result, lerr error) error {
 		if l == 3 {
@@ -976,8 +969,7 @@ func TestLockstepEnergyPlanes(t *testing.T) {
 	g := graph.Complete(2)
 	pair := lanePair{scalar: burstProgram, lane: func() LaneProgram { return &burstLaneProgram{} }}
 	seeds := laneSeeds(4, 0xe7)
-	pool := NewPool(1)
-	defer pool.Close()
+	pool := NewPool()
 	ctx := WithPool(context.Background(), pool)
 	for _, maxRounds := range []uint64{1, 2, 3, 4, 255, 256, 257, 1 << 16, 0} {
 		cfg := Config{Model: ModelCD, MaxRounds: maxRounds, Ctx: ctx}

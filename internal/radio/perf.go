@@ -4,10 +4,10 @@ import "time"
 
 // This file implements the scheduler's performance-telemetry surface:
 // RunPerf, an out-of-band snapshot of where one run's wall-clock time and
-// resources went. It exists so the next scaling PR can read barrier
-// stalls, shard imbalance, and pool effectiveness instead of guessing.
+// resources went: executed rounds per code path, loop time, hand-off
+// waits, and pool effectiveness.
 //
-// The contract, enforced by perf_parity_test.go:
+// The contract, enforced by perf_test.go:
 //
 //   - Out-of-band. Perf collection reads clocks and counts buffer events;
 //     it never touches the simulation's random streams, scheduling order,
@@ -20,15 +20,15 @@ import "time"
 // RunPerf accumulates one run's scheduler performance counters. Install a
 // *RunPerf on Config.Perf and the scheduler fills it during the run; read
 // it after Run returns. The same RunPerf may be reused across consecutive
-// runs (bind resets it), which also keeps its slices allocation-free after
-// the first run.
+// runs (bind resets it), which also keeps its Slices buffer
+// allocation-free after the first run.
 type RunPerf struct {
 	// Rounds is the number of scheduler round iterations executed (every
 	// round with at least one scheduled event, including rounds where all
 	// due nodes only slept or halted).
 	Rounds uint64
-	// FastRounds and FaultRounds split Rounds by code path: the parallel
-	// clean path vs. the sequential fault-injection path.
+	// FastRounds and FaultRounds split Rounds by code path: the clean path
+	// vs. the fault-injection path.
 	FastRounds  uint64
 	FaultRounds uint64
 	// WallNs is the wall-clock time of the scheduler loop (excluding node
@@ -36,33 +36,18 @@ type RunPerf struct {
 	WallNs int64
 	// RoundsPerSec is Rounds divided by the loop wall time.
 	RoundsPerSec float64
-	// Shards is the number of worker shards the run executed on.
-	Shards int
 	// PoolHit reports whether the run executed on a Pool's reused
-	// scheduler state (workers, shard buffers, bitsets) instead of
-	// building its own.
+	// scheduler state (round calendar, bitsets, hand-off cursors) instead
+	// of building its own.
 	PoolHit bool
 	// CSRReused reports whether the CSR adjacency snapshot was served
 	// from the pool's one-entry cache instead of rebuilt for this run.
 	CSRReused bool
 	// BufferGrows counts coordinator-side scratch reallocations during
-	// bind (shard array, round calendars, transmitter bitset, payload
-	// array, hand-off cursors). A warm pool holds this at zero; nonzero on
-	// pooled runs means the workload outgrew the pool's buffers.
+	// bind (round calendar, transmitter bitset, payload array, hand-off
+	// cursors). A warm pool holds this at zero; nonzero on pooled runs
+	// means the workload outgrew the pool's buffers.
 	BufferGrows int
-	// ShardBusyNs[i] is the time shard i spent executing phase work
-	// (collect/apply and receive), summed over all rounds.
-	ShardBusyNs []int64
-	// BarrierWaitNs[i] is the time shard i sat idle at phase barriers
-	// while the slowest shard of the phase finished, summed over all
-	// rounds. High values on some shards and not others indicate load
-	// imbalance; high values everywhere indicate rounds too small to
-	// shard profitably.
-	BarrierWaitNs []int64
-	// Imbalance is max(ShardBusyNs) / mean(ShardBusyNs) — 1.0 is a
-	// perfectly balanced run; 0 when timing never ran (zero shards or an
-	// immediately-failing run).
-	Imbalance float64
 	// HandoffWaits counts the times the scheduler reached a due node
 	// whose next intent batch had not arrived and had to wait for it
 	// (yield, then block). Nodes hand batches over only when they start a
@@ -115,21 +100,11 @@ type RoundSlice struct {
 	EndNs      int64  // wall-clock slice end, ns since LoopStart
 }
 
-// reset prepares the RunPerf for one run on nShards shards, zeroing all
-// counters and resizing the per-shard slices (reusing capacity).
-// Configuration fields (SliceEvery) survive the reset, so a pooled
-// RunPerf keeps sampling across consecutive runs.
-func (p *RunPerf) reset(nShards int) {
-	busy, wait := p.ShardBusyNs, p.BarrierWaitNs
-	if cap(busy) < nShards {
-		busy = make([]int64, nShards)
-		wait = make([]int64, nShards)
-	}
-	busy, wait = busy[:nShards], wait[:nShards]
-	clear(busy)
-	clear(wait)
+// reset prepares the RunPerf for one run, zeroing all counters and
+// reusing the slice buffer. Configuration fields (SliceEvery) survive the
+// reset, so a pooled RunPerf keeps sampling across consecutive runs.
+func (p *RunPerf) reset() {
 	*p = RunPerf{
-		Shards: nShards, ShardBusyNs: busy, BarrierWaitNs: wait,
 		SliceEvery:  p.SliceEvery,
 		Slices:      p.Slices[:0],
 		sliceStride: p.SliceEvery,
@@ -189,43 +164,11 @@ func (p *RunPerf) finish(wall time.Duration) {
 	if secs := wall.Seconds(); secs > 0 {
 		p.RoundsPerSec = float64(p.Rounds) / secs
 	}
-	var sum, max int64
-	for _, b := range p.ShardBusyNs {
-		sum += b
-		if b > max {
-			max = b
-		}
-	}
-	if sum > 0 {
-		p.Imbalance = float64(max) * float64(len(p.ShardBusyNs)) / float64(sum)
-	}
 }
 
 // perfGrow counts one scratch reallocation when perf collection is on.
 func (s *sched) perfGrow() {
 	if s.perf != nil {
 		s.perf.BufferGrows++
-	}
-}
-
-// perfFold folds one dispatch's per-shard phase durations (written by
-// each worker into its own phaseNs slot during the phase) into the
-// RunPerf: busy time per shard, plus the implied barrier wait — the
-// slowest shard's duration minus the shard's own. It runs on the
-// coordinator after the phase barrier, so the worker writes are visible.
-// Callers gate on s.perf != nil so the fast path pays one branch.
-func (s *sched) perfFold() {
-	p := s.perf
-	var max int64
-	for _, d := range s.phaseNs[:len(s.shards)] {
-		if d > max {
-			max = d
-		}
-	}
-	for i, d := range s.phaseNs[:len(s.shards)] {
-		p.ShardBusyNs[i] += d
-		p.BarrierWaitNs[i] += max - d
-		p.HandoffWaits += s.shards[i].waits
-		s.shards[i].waits = 0
 	}
 }

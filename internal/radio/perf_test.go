@@ -46,8 +46,7 @@ func runWithPerf(t *testing.T, g *graph.Graph, cfg Config, program Program) *Run
 
 // TestPerfNeutrality is the telemetry-neutrality parity test: identical
 // seeds with Config.Perf set and unset must produce DeepEqual Results and
-// identical observer streams, across clean, sharded, pooled, and faulty
-// runs.
+// identical observer streams, across clean, pooled, and faulty runs.
 func TestPerfNeutrality(t *testing.T) {
 	for name, g := range parityGraphs(t) {
 		t.Run("clean/"+name, func(t *testing.T) {
@@ -59,12 +58,8 @@ func TestPerfNeutrality(t *testing.T) {
 	}
 
 	g := parityGraphs(t)["gnp200"]
-	t.Run("sharded", func(t *testing.T) {
-		runWithPerf(t, g, Config{Model: ModelCD, Seed: 7, Shards: 3}, decayProgram)
-	})
 	t.Run("pooled", func(t *testing.T) {
-		pool := NewPool(2)
-		defer pool.Close()
+		pool := NewPool()
 		ctx := WithPool(context.Background(), pool)
 		// Warm the pool, then verify parity on the reused state.
 		if _, err := Run(g, Config{Model: ModelCD, Seed: 1, Ctx: ctx}, decayProgram); err != nil {
@@ -106,15 +101,9 @@ func TestPerfNeutrality(t *testing.T) {
 func TestPerfFields(t *testing.T) {
 	g := graph.Cycle(200)
 	perf := &RunPerf{}
-	res, err := Run(g, Config{Model: ModelCD, Seed: 9, Shards: 2, Perf: perf}, decayProgram)
+	res, err := Run(g, Config{Model: ModelCD, Seed: 9, Perf: perf}, decayProgram)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if perf.Shards != 2 {
-		t.Errorf("Shards = %d, want 2", perf.Shards)
-	}
-	if len(perf.ShardBusyNs) != 2 || len(perf.BarrierWaitNs) != 2 {
-		t.Fatalf("per-shard slices sized %d/%d, want 2/2", len(perf.ShardBusyNs), len(perf.BarrierWaitNs))
 	}
 	if perf.Rounds == 0 || perf.Rounds != perf.FastRounds+perf.FaultRounds {
 		t.Errorf("Rounds = %d (fast %d, fault %d): inconsistent", perf.Rounds, perf.FastRounds, perf.FaultRounds)
@@ -124,16 +113,6 @@ func TestPerfFields(t *testing.T) {
 	}
 	if perf.WallNs <= 0 || perf.RoundsPerSec <= 0 {
 		t.Errorf("WallNs = %d, RoundsPerSec = %v: want positive", perf.WallNs, perf.RoundsPerSec)
-	}
-	var busy int64
-	for _, b := range perf.ShardBusyNs {
-		busy += b
-	}
-	if busy <= 0 {
-		t.Error("no shard busy time recorded")
-	}
-	if perf.Imbalance < 1 {
-		t.Errorf("Imbalance = %v, want ≥ 1", perf.Imbalance)
 	}
 	if perf.PoolHit || perf.CSRReused {
 		t.Error("standalone run reported pool reuse")
@@ -149,9 +128,6 @@ func TestPerfFields(t *testing.T) {
 	}
 	if perf.Rounds >= prevRounds {
 		t.Errorf("RunPerf not reset between runs: %d rounds after tiny run", perf.Rounds)
-	}
-	if perf.Shards != 1 || len(perf.ShardBusyNs) != 1 {
-		t.Errorf("reused RunPerf not resized: shards %d, busy len %d", perf.Shards, len(perf.ShardBusyNs))
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 // This file preserves the pre-rework engine — the discrete-event
 // coordinator that serviced every node through a single goroutine and a
 // per-node single-slot channel rendezvous — as the reference
-// implementation for the sharded round scheduler (sched.go).
+// implementation for the round scheduler (sched.go).
 //
 // It exists for two reasons:
 //

@@ -127,10 +127,10 @@ func listenBenchProgram(env *Env) int64 {
 //
 //	reference  the preserved pre-rework engine (single-slot channel
 //	           rendezvous, heap-only scheduling)
-//	sched      the sharded round scheduler, standalone (per-run CSR
-//	           snapshot and scratch)
+//	sched      the round scheduler, standalone (per-run CSR snapshot
+//	           and scratch)
 //	pooled     the scheduler behind a Pool, as harness batches run it
-//	           (workers, buffers, and CSR snapshot amortized across trials)
+//	           (buffers and CSR snapshot amortized across trials)
 //	perf       the pooled configuration with RunPerf telemetry attached —
 //	           its gap to "pooled" is the telemetry overhead the ISSUE 5
 //	           acceptance bounds (≤ 3% time/op, no per-round allocations)
@@ -162,8 +162,7 @@ func BenchmarkRun(b *testing.B) {
 			b.Run(engine+"/"+w.name, func(b *testing.B) {
 				ctx := context.Background()
 				if engine == "pooled" || engine == "perf" {
-					pool := NewPool(0)
-					defer pool.Close()
+					pool := NewPool()
 					ctx = WithPool(ctx, pool)
 				}
 				var perf *RunPerf

@@ -16,14 +16,12 @@ import (
 	"radiomis/internal/graph"
 )
 
-// This file holds the sharded scheduler's golden parity tests: every
-// (graph, config, program) here runs on both the new scheduler (sched.go,
-// at several shard counts, with and without a Pool) and the preserved
-// pre-rework engine (reference.go), and the two must agree bit-for-bit —
-// same Result, same observer event stream, same error. This is the
-// enforcement mechanism behind Config.Shards' documentation that results
-// are independent of the shard count, and behind the engine rework's
-// contract that it changes throughput only.
+// This file holds the round scheduler's golden parity tests: every
+// (graph, config, program) here runs on both the scheduler (sched.go,
+// fresh and through a Pool) and the preserved pre-rework engine
+// (reference.go), and the two must agree bit-for-bit — same Result, same
+// observer event stream, same error. This is the enforcement mechanism
+// behind the engine rework's contract that it changes throughput only.
 
 // parityEvent is one deep-copied observer callback, in delivery order.
 type parityEvent struct {
@@ -266,21 +264,16 @@ func (want parityRef) match(t *testing.T, label string, g *graph.Graph, cfg Conf
 }
 
 // runBoth executes cfg/program on the reference engine and on the
-// scheduler at a spread of shard counts (plus twice through a Pool), and
-// requires bit-identical results, errors, and observer streams everywhere.
+// scheduler, fresh and twice through a Pool, and requires bit-identical
+// results, errors, and observer streams everywhere.
 func runBoth(t *testing.T, g *graph.Graph, cfg Config, program Program) {
 	t.Helper()
 	want := referenceRun(g, cfg, program)
-	for _, shards := range []int{0, 1, 2, 3, 4, 8} {
-		c := cfg
-		c.Shards = shards
-		want.match(t, fmt.Sprintf("shards=%d", shards), g, c, program)
-	}
+	want.match(t, "fresh", g, cfg, program)
 
 	// Through a Pool: twice on the same pool, so the second run exercises
 	// reused scratch and the CSR cache.
-	pool := NewPool(4)
-	defer pool.Close()
+	pool := NewPool()
 	base := cfg.Ctx
 	if base == nil {
 		base = context.Background()
@@ -471,17 +464,13 @@ func TestAbortAndMaxRoundsDuringHandoff(t *testing.T) {
 			}
 		}},
 	}
-	pool := NewPool(3)
-	defer pool.Close()
+	pool := NewPool()
 	engines := []struct {
 		name string
 		run  func(Config, Program) (*Result, error)
 	}{
 		{"reference", func(cfg Config, p Program) (*Result, error) { return runReference(g, cfg, p) }},
-		{"sched", func(cfg Config, p Program) (*Result, error) {
-			cfg.Shards = 3
-			return Run(g, cfg, p)
-		}},
+		{"sched", func(cfg Config, p Program) (*Result, error) { return Run(g, cfg, p) }},
 		{"pooled", func(cfg Config, p Program) (*Result, error) {
 			base := cfg.Ctx
 			if base == nil {
@@ -606,8 +595,7 @@ func nodeGoroutines() int {
 // completed run must still match the reference engine.
 func TestPoolConcurrentRunsQueue(t *testing.T) {
 	g := graph.Cycle(97)
-	pool := NewPool(2)
-	defer pool.Close()
+	pool := NewPool()
 	ctx := WithPool(context.Background(), pool)
 	forever := func(env *Env) int64 {
 		for {
@@ -653,8 +641,7 @@ func TestPoolConcurrentRunsQueue(t *testing.T) {
 // different graphs and configs cannot leak state through the reused
 // scratch: each matches its own fresh-engine run.
 func TestPoolSequentialRunsIndependent(t *testing.T) {
-	pool := NewPool(3)
-	defer pool.Close()
+	pool := NewPool()
 	ctx := WithPool(context.Background(), pool)
 
 	r := rand.New(rand.NewSource(9))
@@ -685,21 +672,14 @@ func TestPoolSequentialRunsIndependent(t *testing.T) {
 	}
 }
 
-// TestShardCountIndependence pins the documented guarantee directly on a
-// graph large enough for several shards at the default sizing.
-func TestShardCountIndependence(t *testing.T) {
-	r := rand.New(rand.NewSource(21))
-	g := graph.GNP(1500, 8.0/1500, r)
-	var want *Result
-	for _, shards := range []int{1, 2, 4, 7, 16} {
-		res, err := Run(g, Config{Model: ModelCD, Seed: 77, Shards: shards}, decayProgram)
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		if want == nil {
-			want = res
-		} else if !reflect.DeepEqual(res, want) {
-			t.Fatalf("shards=%d: result differs from shards=1", shards)
-		}
+// TestSchedulerParityLargeGraph checks the scheduler against the
+// reference engine on a graph whose calendar buckets span two dozen
+// bitset words, under CD and no-CD.
+func TestSchedulerParityLargeGraph(t *testing.T) {
+	g := graph.GNP(1500, 8.0/1500, rand.New(rand.NewSource(21)))
+	for _, model := range []Model{ModelCD, ModelNoCD} {
+		t.Run(model.String(), func(t *testing.T) {
+			runBoth(t, g, Config{Model: model, Seed: 77}, decayProgram)
+		})
 	}
 }

@@ -70,23 +70,17 @@ const txRunCap = 150
 
 // runTransmitRuns checks transmitRunProgram against the reference engine
 // under CD and no-CD, once to completion and once under txRunCap, which
-// falls inside many nodes' runs: on the scheduler at 1, 2 and 4 shards
-// (as many as the graph allows) and once through a Pool.
+// falls inside many nodes' runs: on the scheduler, fresh and once through
+// a Pool.
 func runTransmitRuns(t *testing.T, g *graph.Graph, cfg Config) {
 	check := func(t *testing.T, c Config) parityRef {
 		want := referenceRun(g, c, transmitRunProgram)
-		for _, shards := range []int{1, 2, 4} {
-			c := c
-			c.Shards = shards
-			want.match(t, fmt.Sprintf("shards=%d", shards), g, c, transmitRunProgram)
-		}
-		pool := NewPool(4)
-		defer pool.Close()
+		want.match(t, "fresh", g, c, transmitRunProgram)
 		base := c.Ctx
 		if base == nil {
 			base = context.Background()
 		}
-		c.Ctx = WithPool(base, pool)
+		c.Ctx = WithPool(base, NewPool())
 		want.match(t, "pooled", g, c, transmitRunProgram)
 		return want
 	}
@@ -189,8 +183,7 @@ func TestTransmitRunEdges(t *testing.T) {
 		}
 		return 0
 	}
-	pool := NewPool(1)
-	defer pool.Close()
+	pool := NewPool()
 	for _, model := range []Model{ModelCD, ModelNoCD} {
 		for _, engine := range []string{"reference", "sched", "pooled", "select"} {
 			cfg := Config{Model: model, Seed: 1}
@@ -392,7 +385,7 @@ func runScriptProgram(script []byte) Program {
 // listen runs on a small random graph, under a fuzzed model, UnaryOnly
 // flag and fault profile and a 512-round cap that long scripts reach, must
 // give the reference engine's Result, error and observer stream on the
-// scheduler, fresh and pooled, at 1 and 2 shards.
+// scheduler, fresh and pooled.
 func FuzzTransmitRunParity(f *testing.F) {
 	f.Add(uint8(12), uint8(60), uint8(0), uint8(0), []byte{0x1c, 0xff, 0x01, 0x80, 0x00, 0x10, 0x03, 0x5a, 0xa5, 0x02, 0x0b})
 	f.Add(uint8(70), uint8(20), uint8(1), uint8(4), []byte{0xfd, 0x12, 0x34, 0x56, 0x78, 0x9a, 0xbc, 0xde, 0xf0, 0x13, 0x02})
@@ -415,15 +408,9 @@ func FuzzTransmitRunParity(f *testing.F) {
 		}
 		program := runScriptProgram(script)
 		want := referenceRun(g, cfg, program)
-		pool := NewPool(2)
-		defer pool.Close()
-		for _, shards := range []int{1, 2} {
-			c := cfg
-			c.Shards = shards
-			want.match(t, fmt.Sprintf("fresh shards=%d", shards), g, c, program)
-			c.Ctx = WithPool(context.Background(), pool)
-			want.match(t, fmt.Sprintf("pooled shards=%d", shards), g, c, program)
-		}
+		want.match(t, "fresh", g, cfg, program)
+		cfg.Ctx = WithPool(context.Background(), NewPool())
+		want.match(t, "pooled", g, cfg, program)
 	})
 }
 
@@ -458,7 +445,7 @@ func TestTransmitRunMatchesLoop(t *testing.T) {
 	}
 	g := graph.GNP(150, 6.0/150, rand.New(rand.NewSource(8)))
 	for _, fp := range []faults.Profile{{}, {Loss: 0.2, Crash: faults.Crash{Rate: 0.01, RestartAfter: 5}}} {
-		cfg := Config{Model: ModelNoCD, Seed: 4, Faults: fp, Shards: 2}
+		cfg := Config{Model: ModelNoCD, Seed: 4, Faults: fp}
 		wantObs, gotObs := &parityObserver{}, &parityObserver{}
 		cfg.Observer = wantObs
 		want, err := Run(g, cfg, program(true))

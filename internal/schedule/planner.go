@@ -26,8 +26,8 @@ const maxLayerRetries = 4
 //
 // A Planner is not safe for concurrent use; use one per serving goroutine
 // (the daemon keeps idle ones on a free list capped at maxIdlePlanners).
-// Radio-algorithm layers run on a lazily created radio.Pool owned by the
-// planner; Close releases it.
+// Radio-algorithm layers run on a radio.Pool the planner borrows from the
+// process-wide cache on first use; Close hands it back.
 type Planner struct {
 	csr     graph.CSR
 	view    graph.View
@@ -54,11 +54,13 @@ type Planner struct {
 // NewPlanner returns an empty Planner; all buffers warm up on first use.
 func NewPlanner() *Planner { return &Planner{} }
 
-// Close releases the radio worker pool, if any radio-algorithm layer ever
-// spawned one. The planner itself remains usable.
+// Close returns the planner's radio.Pool, if a radio-algorithm layer ever
+// borrowed one, to the process-wide cache. The planner itself remains
+// usable; a planner dropped without Close only keeps its pool from the
+// cache.
 func (pl *Planner) Close() {
 	if pl.pool != nil {
-		pl.pool.Close()
+		pl.pool.Release()
 		pl.pool = nil
 	}
 }
@@ -135,7 +137,7 @@ func (pl *Planner) radioLayer(g *graph.Graph, algo string, layerSeed uint64, opt
 
 	ctx := opts.Ctx
 	if pl.pool == nil {
-		pl.pool = radio.NewPool(0)
+		pl.pool = radio.AcquirePool()
 	}
 	ctx = radio.WithPool(orBackground(ctx), pl.pool)
 

@@ -141,9 +141,9 @@ type ScheduleResult struct {
 }
 
 // scheduler is the manager's batch-scheduling serving state: a free list
-// of warm planners (amortized scratch; radio layers may pin worker pools,
-// so planners are closed at shutdown rather than left to the GC), its own
-// result LRU, and the schedule metric instruments. Scheduling is
+// of warm planners (amortized scratch; a planner that ran a radio layer
+// holds a radio.Pool, which Close hands back to the process-wide cache),
+// its own result LRU, and the schedule metric instruments. Scheduling is
 // synchronous — no queue, no job records — because the workload is
 // thousands of small-graph calls per second, not long simulations.
 type scheduler struct {
@@ -197,7 +197,8 @@ func (s *scheduler) putPlanner(pl *schedule.Planner) {
 	pl.Close()
 }
 
-// close releases every idle planner's radio worker pool. Idempotent.
+// close hands every idle planner's radio pool back to the process-wide
+// cache. Idempotent.
 func (s *scheduler) close() {
 	s.mu.Lock()
 	defer s.mu.Unlock()

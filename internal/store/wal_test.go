@@ -182,21 +182,24 @@ func TestCorruptFinalRecordChecksumRejected(t *testing.T) {
 // writeSegment frames recs with the production wire format into path.
 func writeSegment(t *testing.T, path string, recs ...Record) {
 	t.Helper()
+	if err := os.WriteFile(path, frames(recs...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// frames returns recs framed with the production wire format.
+func frames(recs ...Record) []byte {
 	var buf []byte
 	for _, rec := range recs {
 		payload, err := json.Marshal(rec)
 		if err != nil {
-			t.Fatal(err)
+			panic(err)
 		}
-		hdr := make([]byte, recHdrSize)
-		binary.LittleEndian.PutUint32(hdr, uint32(len(payload)))
-		binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(payload, crcTable))
-		buf = append(buf, hdr...)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
+		buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, crcTable))
 		buf = append(buf, payload...)
 	}
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	return buf
 }
 
 func TestTruncationInNonFinalSegmentRejected(t *testing.T) {

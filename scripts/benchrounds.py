@@ -4,8 +4,8 @@
 Reads `go test -bench` output (a file argument or stdin) and asserts that,
 for every workload, all engine variants report the identical rounds/op:
 
-- BenchmarkRun (internal/radio): the reference engine and the sharded
-  scheduler, standalone and pooled;
+- BenchmarkRun (internal/radio): the reference engine and the round
+  scheduler, standalone, pooled and with RunPerf attached;
 - BenchmarkRunMany (internal/mis): the cd lane twin on the lockstep engine,
   fresh, pooled and on a cached pool with callback results, against the
   pooled scalar engine.
