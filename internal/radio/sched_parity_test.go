@@ -238,8 +238,11 @@ func referenceRun(g *graph.Graph, cfg Config, program Program) parityRef {
 
 // match runs cfg/program on the scheduler with an observer and fails
 // unless it returns the reference's error after the same observer stream
-// and, when it succeeds or stops at its round cap, the same Result. The
-// Result of a run that stopped on any other error is left unspecified.
+// and the same Result. That includes the partial Result of a run stopped
+// by its round cap or by a node error (ErrNotUnary, an unknown intent):
+// both engines end the round at the erroring node, with the nodes before
+// it charged and halted. Only an aborted run's Result is left unspecified,
+// since the round a cancellation is seen in depends on timing.
 func (want parityRef) match(t *testing.T, label string, g *graph.Graph, cfg Config, program Program) {
 	t.Helper()
 	obs := &parityObserver{}
@@ -248,7 +251,7 @@ func (want parityRef) match(t *testing.T, label string, g *graph.Graph, cfg Conf
 	if (err == nil) != (want.err == nil) || (err != nil && err.Error() != want.err.Error()) {
 		t.Fatalf("%s: error = %v, reference = %v", label, err, want.err)
 	}
-	if (err == nil || errors.Is(err, ErrMaxRounds)) && !reflect.DeepEqual(res, want.res) {
+	if !errors.Is(err, ErrAborted) && !reflect.DeepEqual(res, want.res) {
 		t.Fatalf("%s: Result diverges from reference\n got: %+v\nwant: %+v", label, res, want.res)
 	}
 	if !reflect.DeepEqual(obs.events, want.obs.events) {
@@ -375,9 +378,19 @@ func TestSchedulerParityFaults(t *testing.T) {
 	}
 }
 
+// nodeErrorProfiles runs a node-error case on the clean path and, through
+// a crash rate that attaches an injector but never strikes, on the fault
+// path.
+var nodeErrorProfiles = map[string]faults.Profile{
+	"clean": {},
+	"fault": {Crash: faults.Crash{Rate: 1e-300}},
+}
+
 // TestSchedulerParityUnaryViolation checks that UnaryOnly violations
-// produce the same error (same offending node) and the same observer
-// prefix on both engines.
+// produce the same error (same offending node), the same observer prefix
+// and the same partial Result on both engines: the round stops at the
+// violator, so the nodes below it are charged and halted and those above
+// it are not.
 func TestSchedulerParityUnaryViolation(t *testing.T) {
 	g := graph.Complete(80)
 	program := func(env *Env) int64 {
@@ -391,9 +404,47 @@ func TestSchedulerParityUnaryViolation(t *testing.T) {
 		env.TransmitBit()
 		return 0
 	}
-	runBoth(t, g, Config{Model: ModelCD, Seed: 1, UnaryOnly: true}, program)
-	if _, err := Run(g, Config{Model: ModelCD, Seed: 1, UnaryOnly: true}, program); !errors.Is(err, ErrNotUnary) {
-		t.Fatalf("err = %v, want ErrNotUnary", err)
+	for name, fp := range nodeErrorProfiles {
+		t.Run(name, func(t *testing.T) {
+			cfg := Config{Model: ModelCD, Seed: 1, UnaryOnly: true, Faults: fp}
+			runBoth(t, g, cfg, program)
+			res, err := Run(g, cfg, program)
+			if !errors.Is(err, ErrNotUnary) {
+				t.Fatalf("err = %v, want ErrNotUnary", err)
+			}
+			if res.Energy[40] != 0 || res.Energy[39] != 1 || res.HaltRound[40] != 0 || res.Outputs[40] != 1 || res.Energy[42] != 0 {
+				t.Fatalf("partial Result does not stop at node 41: Energy[39:43] = %v, Outputs[40] = %d", res.Energy[39:43], res.Outputs[40])
+			}
+		})
+	}
+}
+
+// TestSchedulerParityUnknownIntent checks that an intent of no known kind
+// ends the run with the reference engine's error, observer stream and
+// partial Result, in a later round and on the clean and the fault path.
+func TestSchedulerParityUnknownIntent(t *testing.T) {
+	g := graph.Cycle(70)
+	program := func(env *Env) int64 {
+		env.TransmitBit()
+		env.Listen()
+		if env.ID() == 33 {
+			env.submit(intent{kind: 99})
+		}
+		env.TransmitBit()
+		return int64(env.ID())
+	}
+	for name, fp := range nodeErrorProfiles {
+		t.Run(name, func(t *testing.T) {
+			cfg := Config{Model: ModelNoCD, Seed: 5, Faults: fp}
+			runBoth(t, g, cfg, program)
+			res, err := Run(g, cfg, program)
+			if err == nil || err.Error() != "radio: node 33 submitted unknown intent 99" {
+				t.Fatalf("err = %v, want node 33's unknown intent", err)
+			}
+			if res.Energy[32] != 3 || res.Energy[33] != 2 || res.Energy[34] != 2 {
+				t.Fatalf("partial Result does not stop at node 33 in round 2: Energy[32:35] = %v", res.Energy[32:35])
+			}
+		})
 	}
 }
 
