@@ -146,9 +146,10 @@ func (r *Result) TotalEnergy() uint64 {
 // batch. A listen run of any length is one intent and ends its batch; a
 // transmit run of up to 63 rounds takes two slots. The scheduler consumes
 // exactly one intent per scheduled round regardless of capacity
-// (re-serving a listen or transmit run's intent until the run ends), so
-// results are identical at any capacity; only the number of goroutine
-// switches changes. backoff.Send submits one transmit run per 63 rounds of
+// (re-serving a listen run's intent until the run ends, and a transmit
+// run's at each transmit or, unobserved and clean, once for the whole
+// run), so results are identical at any capacity; only the number of
+// goroutine switches changes. backoff.Send submits one transmit run per 63 rounds of
 // slots, so a sender fills a batch only every 16 runs; the capacity
 // matters most for programs that still transmit and sleep one action at a
 // time, such as the Decay baselines.

@@ -149,10 +149,13 @@ const maxRunSpan = 63
 // longer span panics.
 //
 // On the scheduler a transmit run is one intent however many rounds it
-// spans: the scheduler serves it again in each round it transmits and
-// skips the rounds it sleeps, so a sender's backoff costs a scheduler
-// visit per transmission, not per slot. The reference engine expands it
-// into Transmit and Sleep calls, which defines it.
+// spans. With no observer and no fault injector the scheduler serves it
+// whole at its first round and visits the node next in the round after
+// it, so a sender's backoff costs one scheduler visit per run; otherwise
+// it serves the run again in each round it transmits, where the observer
+// sees and the injector strikes each transmit, and skips the rounds it
+// sleeps. The reference engine expands it into Transmit and Sleep calls,
+// which defines it.
 func (e *Env) TransmitRun(mask, span, payload uint64) {
 	if span > maxRunSpan {
 		panic(fmt.Sprintf("radio: TransmitRun span %d exceeds %d rounds", span, maxRunSpan))

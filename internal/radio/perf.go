@@ -23,9 +23,11 @@ import "time"
 // runs (bind resets it), which also keeps its Slices buffer
 // allocation-free after the first run.
 type RunPerf struct {
-	// Rounds is the number of scheduler round iterations executed (every
+	// Rounds is the number of scheduler round iterations executed: every
 	// round with at least one scheduled event, including rounds where all
-	// due nodes only slept or halted).
+	// due nodes only slept or halted. A round whose only awake actions are
+	// transmits of runs the scheduler served whole (an unobserved clean
+	// run's Env.TransmitRun) has no scheduled event and is not executed.
 	Rounds uint64
 	// FastRounds and FaultRounds split Rounds by code path: the clean path
 	// vs. the fault-injection path.

@@ -17,11 +17,11 @@ import (
 // node through an event heap and a single-slot rendezvous, with three ideas:
 //
 //   - CSR + bitset aggregation. Adjacency is snapshot once per run into a
-//     compressed-sparse-row array (graph.CSR) and the round's transmitters
+//     compressed-sparse-row array (graph.CSR) and each round's transmitters
 //     into a bitset, so the reception sweep is a dense scan over two
 //     cache-resident arrays instead of pointer-chasing per-node slices.
-//   - Pooled round buffers. The due list, the round calendar, transmitter
-//     and listener sets, observer scratch, and the bitset are all reused
+//   - Pooled round buffers. The due list, the round and transmitter
+//     calendars, the listener list and observer scratch are all reused
 //     across rounds (and, via Pool, across runs), so the steady-state
 //     scheduler allocates nothing per round — the nil-observer zero-alloc
 //     guarantee of the pre-rework engine is preserved.
@@ -33,20 +33,30 @@ import (
 //     intent the scheduler serves again every round until the node hears
 //     something or the run is spent (reply), so a receiver that listens
 //     through a backoff costs one switch per message heard, not per round.
-//     A transmit run (Env.TransmitRun) is one intent the scheduler serves
-//     again at each of its transmitting rounds (runRound), so a sender's
-//     backoff costs one scheduler visit per transmission, not per slot.
+//     A transmit run (Env.TransmitRun) is one intent. On the clean path
+//     with no observer the scheduler serves it whole at the run's first
+//     round (serveRun): it enters the node in the transmitter calendar for
+//     each round the run transmits in and next visits it the round after
+//     the run, so a sender's backoff costs one visit per run, and a round
+//     in which only such runs transmit is never executed. An observed or
+//     fault-injected run is served again at each of its transmitting
+//     rounds (runRound), since the observer's entries and the injector's
+//     draws are per round.
 //
 // Event scheduling exploits that almost every event lands within a few
-// rounds: an awake action at round r schedules the node at r+1, and the
-// gaps of sleeps and transmit runs are mostly a few rounds long. The
+// rounds: an awake action at round r schedules the node at r+1, the gaps
+// of sleeps are mostly a few rounds long, and a transmit run reschedules
+// its node at most 63 rounds out. The
 // scheduler keeps a round calendar of 64 buckets, one per round of the
 // next 64, each a bitset over node ids, plus one occupancy word naming the
 // non-empty buckets. Only events more than 64 rounds out — long sleeps,
 // crash restarts, staggered wake-ups — go to a binary heap, which drains
 // each round's events into its bucket as the round begins. A bit scan of
 // the bucket then yields the due set in ascending id order, with no sort
-// or merge.
+// or merge. The transmitter calendar has the same shape: bucket t & 63
+// holds the nodes that transmit in round t, whether a transmit in that
+// round or a whole-served run put them there, and the loop clears the
+// bucket of every round it passes, executed or skipped (pass).
 //
 // Rounds run on one goroutine. The paper's algorithms run in the sleeping
 // model, so few nodes are awake in any round, and splitting a round's
@@ -58,7 +68,9 @@ import (
 // (graph, config, seed). Both apply the due nodes' actions — halts, errors
 // and observer entries included — in ascending id order, and the fault
 // path (faultRound) makes the injector's order-sensitive random draws in
-// exactly the reference engine's order. The differential tests in
+// exactly the reference engine's order. A whole-served run's transmits are
+// charged ahead of their rounds, so a node error takes back those the
+// reference engine never reaches (settle). The differential tests in
 // sched_parity_test.go enforce this contract.
 
 // sched is one run's scheduler state. It is reusable: Pool keeps one and
@@ -87,11 +99,20 @@ type sched struct {
 	occ   uint64
 	heap  eventHeap
 
-	// Per-round outcome buffers, reused across rounds.
-	txIDs     []int32 // transmitters (ascending); also the bitset clear list
-	listeners []int32 // listeners (ascending)
-	txBits    []uint64
+	// The transmitter calendar, laid out as cal: bucket b of txCal is the
+	// bitset of the nodes that transmit in the round ≡ b (mod 64) among the
+	// current one and the 62 after it, and bit b of txOcc is set when that
+	// bucket holds any. txPayload[id] is node id's payload in those rounds.
+	txCal     []uint64
+	txOcc     uint64
 	txPayload []uint64
+	// whole reports that transmit runs are served whole (serveRun): the
+	// run has neither an observer nor a fault injector.
+	whole bool
+
+	// Per-round outcome buffers, reused across rounds.
+	nTx       int     // transmits applied this round (not whole-served)
+	listeners []int32 // listeners (ascending)
 	// cursors[id] is the batch the scheduler is consuming from node id and
 	// the position of its next intent.
 	cursors []cursor
@@ -132,6 +153,7 @@ func (s *sched) bind(csr *graph.CSR, cfg *Config, inj *faults.Injector, maxRound
 	s.model, s.unaryOnly = cfg.Model, cfg.UnaryOnly
 	s.obs = cfg.Observer
 	s.inj = inj
+	s.whole = inj == nil && cfg.Observer == nil
 	s.envs, s.res = envs, res
 	s.maxRounds = maxRounds
 	s.ctx = cfg.Ctx
@@ -161,15 +183,15 @@ func (s *sched) bind(csr *graph.CSR, cfg *Config, inj *faults.Injector, maxRound
 	for id := 0; id < n; id++ {
 		s.heap.push(event{round: wakes[id], id: id})
 	}
-	s.txIDs = s.txIDs[:0]
 	s.listeners = s.listeners[:0]
 
-	if cap(s.txBits) < s.words {
-		s.txBits = make([]uint64, s.words)
+	if cap(s.txCal) < 64*s.words {
+		s.txCal = make([]uint64, 64*s.words)
 		s.perfGrow()
 	}
-	s.txBits = s.txBits[:s.words]
-	clear(s.txBits)
+	s.txCal = s.txCal[:64*s.words]
+	clear(s.txCal)
+	s.txOcc = 0
 	if cap(s.txPayload) < n {
 		s.txPayload = make([]uint64, n)
 		s.perfGrow()
@@ -260,8 +282,10 @@ func (s *sched) loop() error {
 		}
 		r := s.nextRound()
 		if r >= s.maxRounds {
+			s.pass(s.maxRounds)
 			return fmt.Errorf("%w (cap %d)", ErrMaxRounds, s.maxRounds)
 		}
+		s.pass(r)
 		s.round = r
 		var err error
 		if s.inj == nil {
@@ -302,15 +326,34 @@ func (s *sched) nextRound() uint64 {
 	return r
 }
 
-// beginRound resets the per-round buffers, clears the previous round's
-// transmitter bits, and materializes the due set for round r: the heap's
-// events for r join r's calendar bucket, and a bit scan reads the bucket
-// out in ascending id order, clearing it for round r+64.
-func (s *sched) beginRound(r uint64) {
-	for _, id := range s.txIDs {
-		s.txBits[id>>6] &^= 1 << (id & 63)
+// pass moves the transmitter calendar from the last executed round up to
+// round to: it clears the bucket of every round in between, executed or
+// skipped, and raises Result.Rounds past the last of them in which a node
+// transmitted. A skipped round's transmitters are whole-served runs', so
+// this is where their rounds count.
+func (s *sched) pass(to uint64) {
+	// Bit k of the rotated occupancy stands for round s.round+k: no bucket
+	// holds a round before the last executed one or 63 rounds after it.
+	occ := bits.RotateLeft64(s.txOcc, -int(s.round&63))
+	if d := to - s.round; d < 64 {
+		occ &= 1<<d - 1
 	}
-	s.txIDs = s.txIDs[:0]
+	if occ == 0 {
+		return
+	}
+	s.res.Rounds = s.round + uint64(64-bits.LeadingZeros64(occ))
+	for ; occ != 0; occ &= occ - 1 {
+		b := (s.round + uint64(bits.TrailingZeros64(occ))) & 63
+		clear(s.txCal[int(b)*s.words : int(b+1)*s.words])
+		s.txOcc &^= 1 << b
+	}
+}
+
+// beginRound resets the per-round buffers and materializes the due set for
+// round r: the heap's events for r join r's calendar bucket, and a bit scan
+// reads the bucket out in ascending id order, clearing it for round r+64.
+func (s *sched) beginRound(r uint64) {
+	s.nTx = 0
 	s.listeners = s.listeners[:0]
 	if s.obs != nil {
 		s.stats = RoundStats{
@@ -359,22 +402,83 @@ func (s *sched) push(round, cur uint64, id int32) {
 
 // action takes node id's next intent and returns its action in round r
 // and the round of its next event should the action be a transmit: r+1,
-// or for a transmit run the round runRound names.
+// or for a transmit run the round runRound names. A transmit run served
+// whole returns as a sleep through the run (serveRun). Under UnaryOnly a
+// run whose payload is not 1 is served round by round, so its first
+// transmit raises ErrNotUnary in id order as a Transmit would.
 func (s *sched) action(id int32, r uint64) (intent, uint64) {
 	it := s.take(id)
-	if it.kind == intentTransmitRun {
-		return s.runRound(id, it, r)
+	if it.kind != intentTransmitRun {
+		return it, r + 1
 	}
-	return it, r + 1
+	if c := &s.cursors[id]; s.whole && (!s.unaryOnly || c.batch[c.pos].arg == 1) {
+		return s.serveRun(id, it, r), 0
+	}
+	return s.runRound(id, it, r)
+}
+
+// serveRun serves node id's transmit run, whose header hdr the node's
+// cursor has just taken, whole at the run's first round r: it enters the
+// node in the transmitter calendar's bucket of each round below the round
+// cap in which the run transmits, stores the payload, charges those
+// transmissions' energy and moves the cursor past the payload slot. It
+// returns a sleep through the run, so the node's next event is the round
+// after it. The run's rounds count in Result.Rounds as the loop passes
+// them; a node error before they are all reached takes the energy of the
+// rest back (settle).
+func (s *sched) serveRun(id int32, hdr intent, r uint64) intent {
+	c := &s.cursors[id]
+	s.txPayload[id] = c.batch[c.pos].arg
+	c.pos++
+	span := uint64(bits.Len64(hdr.arg)) - 1
+	mask := hdr.arg &^ (1 << span)
+	if left := s.maxRounds - r; left < span {
+		mask &= 1<<left - 1
+	}
+	s.res.Energy[id] += uint64(bits.OnesCount64(mask))
+	s.txOcc |= bits.RotateLeft64(mask, int(r&63))
+	w, bit := int(id>>6), uint64(1)<<(id&63)
+	for ; mask != 0; mask &= mask - 1 {
+		b := (r + uint64(bits.TrailingZeros64(mask))) & 63
+		s.txCal[int(b)*s.words+w] |= bit
+	}
+	return intent{kind: intentSleep, arg: span}
+}
+
+// settle takes back the energy serveRun charged for transmissions the
+// reference engine never reaches when node id's error ends round r: those
+// in later rounds, and those in round r by ids above id.
+func (s *sched) settle(r uint64, id int32) {
+	// After pass(r) bit k of the rotated occupancy stands for round r+k.
+	occ := bits.RotateLeft64(s.txOcc, -int(r&63))
+	for ; occ != 0; occ &= occ - 1 {
+		k := bits.TrailingZeros64(occ)
+		b := int((r + uint64(k)) & 63)
+		bucket := s.txCal[b*s.words : (b+1)*s.words]
+		from := 0
+		if k == 0 {
+			from = int(id) + 1
+		}
+		for w := from >> 6; w < len(bucket); w++ {
+			word := bucket[w]
+			if w == from>>6 {
+				word &= ^uint64(0) << (from & 63)
+			}
+			for ; word != 0; word &= word - 1 {
+				s.res.Energy[64*w+bits.TrailingZeros64(word)]--
+			}
+		}
+	}
 }
 
 // runRound serves round r of node id's transmit run, whose header hdr the
-// node's cursor has just taken; the cursor's ran holds the round's offset
-// in the run. It returns the round's action — a transmit of the run's
-// payload, or a sleep through the gap before the run's first transmit —
-// and the round of the node's next event: the run's next transmit, or the
-// round after the run. The cursor stays on the header while transmits
-// remain and moves past the run's payload slot after the last.
+// node's cursor has just taken, on an observed or fault-injected run; the
+// cursor's ran holds the round's offset in the run. It returns the round's
+// action — a transmit of the run's payload, or a sleep through the gap
+// before the run's first transmit — and the round of the node's next
+// event: the run's next transmit, or the round after the run. The cursor
+// stays on the header while transmits remain and moves past the run's
+// payload slot after the last.
 func (s *sched) runRound(id int32, hdr intent, r uint64) (intent, uint64) {
 	c := &s.cursors[id]
 	i := c.ran
@@ -396,7 +500,7 @@ func (s *sched) runRound(id int32, hdr intent, r uint64) (intent, uint64) {
 }
 
 // apply applies node id's action it in round r, as the reference engine
-// does: transmitter bit and payload, energy, listener set, observer
+// does: transmitter calendar bit and payload, energy, listener set, observer
 // entries, the node's next event (next, for a transmit), and a halt's
 // output, halt round and observer call. A node error — a non-unary payload
 // under UnaryOnly or an unknown intent — ends the run at once, so the
@@ -407,9 +511,11 @@ func (s *sched) apply(id int32, it intent, next, r uint64) error {
 		if s.unaryOnly && it.arg != 1 {
 			return fmt.Errorf("%w: node %d sent %#x", ErrNotUnary, id, it.arg)
 		}
-		s.txBits[id>>6] |= 1 << (id & 63)
+		b := r & 63
+		s.txCal[int(b)*s.words+int(id>>6)] |= 1 << (id & 63)
+		s.txOcc |= 1 << b
 		s.txPayload[id] = it.arg
-		s.txIDs = append(s.txIDs, id)
+		s.nTx++
 		s.res.Energy[id]++
 		if s.obs != nil {
 			s.stats.Transmitters = append(s.stats.Transmitters, NodeTx{ID: int(id), Phase: it.phase, Payload: it.arg})
@@ -438,26 +544,31 @@ func (s *sched) apply(id int32, it intent, next, r uint64) error {
 }
 
 // fastRound runs one clean (fault-free) round: apply each due node's
-// action, then, unless the round held only sleeps and halts, count each
-// listener's transmitting neighbors by scanning its CSR row against the
-// transmitter bitset, classify the reception under the model, and reply.
+// action, then, unless the round held only sleeps, halts and whole-served
+// runs, count each listener's transmitting neighbors by scanning its CSR
+// row against the round's transmitter bitset, classify the reception under
+// the model, and reply. A node error settles the whole-served runs the
+// round does not reach.
 func (s *sched) fastRound(r uint64) error {
 	s.beginRound(r)
 	for _, id := range s.cur {
 		it, next := s.action(id, r)
 		if err := s.apply(id, it, next, r); err != nil {
+			s.settle(r, id)
 			return err
 		}
 	}
-	if len(s.txIDs) == 0 && len(s.listeners) == 0 {
-		return nil // only sleeps and halts: time passes, nothing happened
+	if s.nTx == 0 && len(s.listeners) == 0 {
+		return nil // time passes; whole-served transmits count in pass
 	}
 	obs := s.obs != nil
+	b := int(r & 63)
+	tx := s.txCal[b*s.words : (b+1)*s.words]
 	for k, id := range s.listeners {
 		physical := 0
 		var payload uint64
 		for _, w := range s.csr.Neighbors(int(id)) {
-			if s.txBits[w>>6]>>(uint(w)&63)&1 != 0 {
+			if tx[w>>6]>>(uint(w)&63)&1 != 0 {
 				physical++
 				payload = s.txPayload[w]
 			}
@@ -534,8 +645,8 @@ func (s *sched) faultRound(r uint64) error {
 	// transmitter count) and greedily decides whether to spend budget; a
 	// jammed round adds collision-level interference at every listener.
 	jammed := false
-	if len(s.txIDs) > 0 {
-		jammed = inj.JamRound(len(s.txIDs))
+	if s.nTx > 0 {
+		jammed = inj.JamRound(s.nTx)
 		if obs {
 			s.stats.Jammed = jammed
 		}
@@ -545,12 +656,14 @@ func (s *sched) faultRound(r uint64) error {
 	// transmitter→listener delivery passes the loss filter, and
 	// noise/jamming add phantom transmitters that the collision rule
 	// perceives but no node sent.
+	b := int(r & 63)
+	tx := s.txCal[b*s.words : (b+1)*s.words]
 	for k, id := range s.listeners {
 		physical := 0  // transmitting neighbors (ground truth)
 		delivered := 0 // deliveries surviving the loss model
 		var payload uint64
 		for _, w := range s.csr.Neighbors(int(id)) {
-			if s.txBits[w>>6]>>(uint(w)&63)&1 == 0 {
+			if tx[w>>6]>>(uint(w)&63)&1 == 0 {
 				continue
 			}
 			physical++
@@ -589,7 +702,7 @@ func (s *sched) faultRound(r uint64) error {
 		s.reply(id, reception)
 	}
 
-	if len(s.txIDs) > 0 || len(s.listeners) > 0 || crashes > 0 {
+	if s.nTx > 0 || len(s.listeners) > 0 || crashes > 0 {
 		res.Rounds = r + 1
 		if obs {
 			s.obs.ObserveRound(&s.stats)

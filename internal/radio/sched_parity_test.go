@@ -236,24 +236,34 @@ func referenceRun(g *graph.Graph, cfg Config, program Program) parityRef {
 	return parityRef{res, err, obs}
 }
 
-// match runs cfg/program on the scheduler with an observer and fails
-// unless it returns the reference's error after the same observer stream
-// and the same Result. That includes the partial Result of a run stopped
-// by its round cap or by a node error (ErrNotUnary, an unknown intent):
-// both engines end the round at the erroring node, with the nodes before
-// it charged and halted. Only an aborted run's Result is left unspecified,
-// since the round a cancellation is seen in depends on timing.
+// match runs cfg/program on the scheduler twice and fails unless both
+// runs return the reference's error and Result and the observed one the
+// same observer stream: once with no observer, the path solve jobs take,
+// on which the scheduler serves transmit runs whole, and once with an
+// observer, which it serves round by round. That includes the partial
+// Result of a run stopped by its round cap or by a node error
+// (ErrNotUnary, an unknown intent): both engines end the round at the
+// erroring node, with the nodes before it charged and halted. Only an
+// aborted run's Result is left unspecified, since the round a
+// cancellation is seen in depends on timing.
 func (want parityRef) match(t *testing.T, label string, g *graph.Graph, cfg Config, program Program) {
 	t.Helper()
+	check := func(label string, res *Result, err error) {
+		t.Helper()
+		if (err == nil) != (want.err == nil) || (err != nil && err.Error() != want.err.Error()) {
+			t.Fatalf("%s: error = %v, reference = %v", label, err, want.err)
+		}
+		if !errors.Is(err, ErrAborted) && !reflect.DeepEqual(res, want.res) {
+			t.Fatalf("%s: Result diverges from reference\n got: %+v\nwant: %+v", label, res, want.res)
+		}
+	}
+	cfg.Observer = nil
+	res, err := Run(g, cfg, program)
+	check(label+" unobserved", res, err)
 	obs := &parityObserver{}
 	cfg.Observer = obs
-	res, err := Run(g, cfg, program)
-	if (err == nil) != (want.err == nil) || (err != nil && err.Error() != want.err.Error()) {
-		t.Fatalf("%s: error = %v, reference = %v", label, err, want.err)
-	}
-	if !errors.Is(err, ErrAborted) && !reflect.DeepEqual(res, want.res) {
-		t.Fatalf("%s: Result diverges from reference\n got: %+v\nwant: %+v", label, res, want.res)
-	}
+	res, err = Run(g, cfg, program)
+	check(label, res, err)
 	if !reflect.DeepEqual(obs.events, want.obs.events) {
 		if len(obs.events) != len(want.obs.events) {
 			t.Fatalf("%s: observer saw %d events, reference %d", label, len(obs.events), len(want.obs.events))
@@ -390,10 +400,13 @@ var nodeErrorProfiles = map[string]faults.Profile{
 // produce the same error (same offending node), the same observer prefix
 // and the same partial Result on both engines: the round stops at the
 // violator, so the nodes below it are charged and halted and those above
-// it are not.
+// it are not. In the "runs" cases node 41 violates in round 1 while every
+// other node is inside a unary transmit run of rounds 0–3, which the clean
+// path serves whole at round 0: only the run's transmits the reference
+// engine reaches stay charged, two below node 41 and one above it.
 func TestSchedulerParityUnaryViolation(t *testing.T) {
 	g := graph.Complete(80)
-	program := func(env *Env) int64 {
+	single := func(env *Env) int64 {
 		if env.ID() == 41 {
 			env.Transmit(99) // violates unary at round 0
 			return 0
@@ -404,27 +417,49 @@ func TestSchedulerParityUnaryViolation(t *testing.T) {
 		env.TransmitBit()
 		return 0
 	}
-	for name, fp := range nodeErrorProfiles {
-		t.Run(name, func(t *testing.T) {
-			cfg := Config{Model: ModelCD, Seed: 1, UnaryOnly: true, Faults: fp}
-			runBoth(t, g, cfg, program)
-			res, err := Run(g, cfg, program)
-			if !errors.Is(err, ErrNotUnary) {
-				t.Fatalf("err = %v, want ErrNotUnary", err)
-			}
-			if res.Energy[40] != 0 || res.Energy[39] != 1 || res.HaltRound[40] != 0 || res.Outputs[40] != 1 || res.Energy[42] != 0 {
-				t.Fatalf("partial Result does not stop at node 41: Energy[39:43] = %v, Outputs[40] = %d", res.Energy[39:43], res.Outputs[40])
-			}
-		})
+	runs := func(env *Env) int64 {
+		if env.ID() == 41 {
+			env.Listen()
+			env.Transmit(99) // violates unary at round 1
+			return 0
+		}
+		env.TransmitRun(0b1111, 4, 1)
+		return 1
+	}
+	cases := []struct {
+		name    string
+		program Program
+		energy  []uint64 // Energy[39:43]
+	}{
+		{"", single, []uint64{1, 0, 0, 0}},
+		{"runs/", runs, []uint64{2, 2, 1, 1}},
+	}
+	for _, c := range cases {
+		for name, fp := range nodeErrorProfiles {
+			t.Run(c.name+name, func(t *testing.T) {
+				cfg := Config{Model: ModelCD, Seed: 1, UnaryOnly: true, Faults: fp}
+				runBoth(t, g, cfg, c.program)
+				res, err := Run(g, cfg, c.program)
+				if !errors.Is(err, ErrNotUnary) {
+					t.Fatalf("err = %v, want ErrNotUnary", err)
+				}
+				if !reflect.DeepEqual(res.Energy[39:43], c.energy) || (c.name == "" && (res.HaltRound[40] != 0 || res.Outputs[40] != 1)) {
+					t.Fatalf("partial Result does not stop at node 41: Energy[39:43] = %v, want %v; Outputs[40] = %d", res.Energy[39:43], c.energy, res.Outputs[40])
+				}
+			})
+		}
 	}
 }
 
 // TestSchedulerParityUnknownIntent checks that an intent of no known kind
 // ends the run with the reference engine's error, observer stream and
 // partial Result, in a later round and on the clean and the fault path.
+// In the "runs" cases every node but 33 is inside a transmit run of
+// rounds 0–3 when node 33's intent ends round 1: the reference engine
+// charges two of the run's transmits below node 33 and one above it.
 func TestSchedulerParityUnknownIntent(t *testing.T) {
 	g := graph.Cycle(70)
-	program := func(env *Env) int64 {
+	single := func(env *Env) int64 {
 		env.TransmitBit()
 		env.Listen()
 		if env.ID() == 33 {
@@ -433,18 +468,38 @@ func TestSchedulerParityUnknownIntent(t *testing.T) {
 		env.TransmitBit()
 		return int64(env.ID())
 	}
-	for name, fp := range nodeErrorProfiles {
-		t.Run(name, func(t *testing.T) {
-			cfg := Config{Model: ModelNoCD, Seed: 5, Faults: fp}
-			runBoth(t, g, cfg, program)
-			res, err := Run(g, cfg, program)
-			if err == nil || err.Error() != "radio: node 33 submitted unknown intent 99" {
-				t.Fatalf("err = %v, want node 33's unknown intent", err)
-			}
-			if res.Energy[32] != 3 || res.Energy[33] != 2 || res.Energy[34] != 2 {
-				t.Fatalf("partial Result does not stop at node 33 in round 2: Energy[32:35] = %v", res.Energy[32:35])
-			}
-		})
+	runs := func(env *Env) int64 {
+		if env.ID() == 33 {
+			env.Listen()
+			env.submit(intent{kind: 99})
+			return 0
+		}
+		env.TransmitRun(0b1111, 4, 1)
+		return int64(env.ID())
+	}
+	cases := []struct {
+		name    string
+		program Program
+		energy  []uint64 // Energy[32:35]
+		rounds  uint64
+	}{
+		{"", single, []uint64{3, 2, 2}, 2},
+		{"runs/", runs, []uint64{2, 1, 1}, 1},
+	}
+	for _, c := range cases {
+		for name, fp := range nodeErrorProfiles {
+			t.Run(c.name+name, func(t *testing.T) {
+				cfg := Config{Model: ModelNoCD, Seed: 5, Faults: fp}
+				runBoth(t, g, cfg, c.program)
+				res, err := Run(g, cfg, c.program)
+				if err == nil || err.Error() != "radio: node 33 submitted unknown intent 99" {
+					t.Fatalf("err = %v, want node 33's unknown intent", err)
+				}
+				if !reflect.DeepEqual(res.Energy[32:35], c.energy) || res.Rounds != c.rounds {
+					t.Fatalf("partial Result does not stop at node 33: Energy[32:35] = %v, Rounds = %d; want %v, %d", res.Energy[32:35], res.Rounds, c.energy, c.rounds)
+				}
+			})
+		}
 	}
 }
 

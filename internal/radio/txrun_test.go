@@ -131,6 +131,25 @@ func TestSchedulerParityTransmitRunCrashes(t *testing.T) {
 	}
 }
 
+// TestTransmitRunPastCap runs transmit runs into the round cap with no
+// node visited between the runs' first round and the cap: every node of a
+// cycle transmits in rounds 0 and id+3 of a 20-round run and nobody
+// listens, so on the clean path the rounds after 0 are never executed. At
+// every cap the Result must count the transmits below it, and only those,
+// as the reference engine does.
+func TestTransmitRunPastCap(t *testing.T) {
+	g := graph.Cycle(10)
+	program := func(env *Env) int64 {
+		env.TransmitRun(1|1<<(env.ID()+3), 20, 1)
+		return 0
+	}
+	for _, limit := range []uint64{1, 2, 4, 9, 12, 13, 20, 21} {
+		t.Run(fmt.Sprintf("cap=%d", limit), func(t *testing.T) {
+			runBoth(t, g, Config{Model: ModelNoCD, Seed: 1, MaxRounds: limit}, program)
+		})
+	}
+}
+
 // TestTransmitRunEdges pins TransmitRun's contract on every engine: a
 // zero mask sleeps the span, mask bits at or above the span are ignored, a
 // span of 63 works and may end on a transmit, a run may open with a gap, a

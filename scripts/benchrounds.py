@@ -8,7 +8,8 @@ for every workload, all engine variants report the identical rounds/op:
   scheduler, standalone, pooled and with RunPerf attached;
 - BenchmarkRunMany (internal/mis): the cd lane twin on the lockstep engine,
   fresh, pooled and on a cached pool with callback results, against the
-  pooled scalar engine.
+  pooled scalar engine; and Algorithm 2 (nocd) on the 8x8 grid, on the
+  scalar engine fresh and pooled.
 
 The metric is fully deterministic — seeds are fixed and all engines are
 bit-identical by contract — so any disagreement means an engine's
