@@ -19,7 +19,10 @@
 // Send and Receive hand the engine runs of slots rather than single slots.
 // Send transmits through up to 63 rounds of iterations with one
 // radio.Env.TransmitRun, so on the scheduler a sender costs one visit per
-// transmission and hands off about once per 16 runs. Receive listens
+// run on a clean, unobserved run and one per transmission otherwise, and
+// hands off about once per 16 runs. It draws a run's slots a coin word at a
+// time from the node's SplitMix64 source (rng.Source.BackoffMask), the
+// same draws as one rng.GeometricHalf call per iteration. Receive listens
 // through its slots with radio.Env.ListenFor, one listen run per window of
 // consecutive listening slots, so a receiver hands off once per message
 // heard or per window, not once per slot. Both yield exactly the
@@ -86,23 +89,20 @@ const runSpan = 63
 // sleeps through all other slots. Total awake rounds: exactly k.
 //
 // The slots are fixed by the draws before the sender first transmits, so
-// Send draws the slots of ⌊63/Slots(Δ)⌋ iterations at a time, in the same
-// order, and submits them as one radio.Env.TransmitRun.
+// Send draws the slots of ⌊63/Slots(Δ)⌋ iterations at a time and submits
+// them as one radio.Env.TransmitRun. It draws them with
+// rng.Source.BackoffMask from the node's source (radio.Env.Source), a coin
+// word at a time: exactly the draws of one rng.GeometricHalf(env.Rand())
+// call per iteration, in the same order, leaving the stream where those
+// calls would.
 func Send(env *radio.Env, k, delta int, payload uint64) {
 	defer restorePhase(env, claimPhase(env, "snd-ebackoff"))
 	slots := Slots(delta)
 	per := runSpan / slots
+	src := env.Source()
 	for i := 0; i < k; i += per {
 		iters := min(per, k-i)
-		var mask uint64
-		for it := 0; it < iters; it++ {
-			x := rng.GeometricHalf(env.Rand())
-			if x > slots {
-				x = slots
-			}
-			mask |= 1 << (it*slots + x - 1)
-		}
-		env.TransmitRun(mask, uint64(iters*slots), payload)
+		env.TransmitRun(src.BackoffMask(slots, iters), uint64(iters*slots), payload)
 	}
 }
 

@@ -2,9 +2,19 @@ package radio
 
 import (
 	"testing"
+	"unsafe"
 
 	"radiomis/internal/graph"
 )
+
+// TestEnvSize pins an Env at 160 bytes, a malloc size class: every node of
+// every run allocates one, and at 168 bytes it would take the 176-byte
+// class. Env.k shares a word with fast and ref to leave room for src.
+func TestEnvSize(t *testing.T) {
+	if got := unsafe.Sizeof(Env{}); got != 160 {
+		t.Fatalf("Env is %d bytes, want 160", got)
+	}
+}
 
 // chatterProgram returns a program whose nodes alternate transmit/listen
 // deterministically for the given number of awake rounds.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 
@@ -251,7 +252,7 @@ func run(g *graph.Graph, cfg Config, program Program, reference bool) (*Result, 
 		envs[i] = &Env{
 			id:      i,
 			n:       n,
-			rand:    rng.ForNode(cfg.Seed, i),
+			src:     rng.NodeSource(cfg.Seed, i),
 			round:   wakes[i],
 			ring:    arena[i*per : (i+1)*per : (i+1)*per],
 			fill:    arena[i*per : i*per : i*per+capacity],
@@ -262,6 +263,7 @@ func run(g *graph.Graph, cfg Config, program Program, reference bool) (*Result, 
 			down:    down,
 			ref:     reference,
 		}
+		envs[i].rand = rand.New(&envs[i].src)
 		if inj != nil && inj.HasCrash() {
 			envs[i].crashCh = make(chan crashSignal)
 		}
@@ -312,7 +314,8 @@ func run(g *graph.Graph, cfg Config, program Program, reference bool) (*Result, 
 				// how many draws depends on goroutine scheduling. A fresh
 				// per-life stream keeps rebooted runs deterministic (and
 				// matches reality: a rebooted device reseeds its PRNG).
-				env.rand = rng.ForNode(rng.Mix(cfg.Seed, lifeSalt+life), env.id)
+				// Rand wraps src, so reseeding src in place reseeds both.
+				env.src = rng.NodeSource(rng.Mix(cfg.Seed, lifeSalt+life), env.id)
 				// Ack the coordinator: the old life is fully unwound and its
 				// stale intents discarded, so the next life's intents are the
 				// only thing the coordinator can observe from this node.

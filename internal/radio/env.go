@@ -5,6 +5,8 @@ import (
 	"math/bits"
 	"math/rand"
 	"sync/atomic"
+
+	"radiomis/internal/rng"
 )
 
 // Program is a node algorithm. It runs in its own goroutine, interacts with
@@ -36,8 +38,11 @@ type crashSignal struct {
 // be called from the node's own program goroutine. An Env is not safe for
 // use from other goroutines.
 type Env struct {
-	id   int
-	n    int
+	id int
+	n  int
+	// src is the node's random stream, and rand wraps it for the program:
+	// Rand's draws and Source's are one stream.
+	src  rng.Source
 	rand *rand.Rand
 	// round is the round at which the node's next action takes place. The
 	// scheduler sets it at the end of a listen run, before its reply,
@@ -56,7 +61,6 @@ type Env struct {
 	// whose buffer batch k reuses.
 	ring    []intent
 	fill    []intent
-	k       int // index of fill's buffer in ring
 	handoff chan []intent
 	replyCh chan Reception
 	kill    chan struct{}
@@ -78,6 +82,9 @@ type Env struct {
 	// single-round intent per hand-off: ListenFor expands there into
 	// single-round listens, so the reference engine defines listen runs.
 	ref bool
+	// k is the index of fill's buffer in ring. It sits beside fast and ref
+	// so that an Env stays within 160 bytes.
+	k uint8
 	// down is the run-wide teardown flag backing the fast discipline
 	// (shared by all of the run's Envs).
 	down *atomic.Bool
@@ -104,6 +111,11 @@ func (e *Env) Round() uint64 { return e.round }
 // Rand returns the node's private random stream. Streams of distinct nodes
 // are independent and the whole run is reproducible from the engine seed.
 func (e *Env) Rand() *rand.Rand { return e.rand }
+
+// Source returns the source behind Rand: drawing from either advances the
+// one stream. It lets a primitive draw through the concrete SplitMix64
+// source, as backoff.Send does with rng.Source.BackoffMask.
+func (e *Env) Source() *rng.Source { return &e.src }
 
 // Energy returns the number of awake rounds the node has spent so far.
 func (e *Env) Energy() uint64 { return e.energy }
@@ -288,8 +300,8 @@ func (e *Env) flush() {
 	if e.k == 3 {
 		e.k = 0
 	}
-	c := cap(b)
-	e.fill = e.ring[e.k*c : e.k*c : (e.k+1)*c]
+	c, k := cap(b), int(e.k)
+	e.fill = e.ring[k*c : k*c : (k+1)*c]
 	if e.fast {
 		// Plain send, guarded by the teardown flag: once the engine
 		// raises down it drains handoff exactly once, so a send already

@@ -19,12 +19,19 @@ import (
 // 64-bit output. It is the canonical mixing function used for seed
 // derivation.
 func SplitMix64(state uint64) (next uint64, out uint64) {
-	state += 0x9e3779b97f4a7c15
-	z := state
+	state += gamma
+	return state, mix64(state)
+}
+
+// gamma is SplitMix64's state increment: the k-th state after s is
+// s + k·gamma.
+const gamma = 0x9e3779b97f4a7c15
+
+// mix64 is SplitMix64's output function of an advanced state.
+func mix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
-	return state, z
+	return z ^ (z >> 31)
 }
 
 // Mix returns a well-scrambled 64-bit value deterministically derived from
@@ -45,29 +52,34 @@ func New(seed uint64) *rand.Rand {
 	return rand.New(rand.NewSource(int64(seed)))
 }
 
-// splitSource is a rand.Source64 backed by SplitMix64. Unlike the stock
+// Source is a rand.Source64 backed by SplitMix64. Unlike the stock
 // math/rand source (607 words of state, ~12µs to seed), it seeds in one
 // store, which matters because the simulator creates one stream per
 // (trial, node) pair — at n=4096 the stock source spends more time seeding
-// than simulating. The bit-parallel lockstep engine replays these streams
-// with plain SplitMix64 arithmetic (see State/NextState), which is only
-// possible because the source is this simple.
-type splitSource struct{ state uint64 }
+// than simulating. Because the source is this simple, its draws can be
+// replayed without it: the lockstep engine's lane twins step SplitMix64
+// directly, and BackoffMask computes the coins of many draws in one pass.
+// A radio.Env holds its node's Source by value and wraps it in the
+// *rand.Rand it hands the program, so both draw from one stream.
+type Source struct{ state uint64 }
 
-func (s *splitSource) Seed(seed int64) { s.state = uint64(seed) }
-func (s *splitSource) Int63() int64    { return int64(s.Uint64() >> 1) }
-func (s *splitSource) Uint64() uint64 { //nolint:govet // value receiver would lose state
+// NewSource returns a Source seeded with state. Draw k from NewSource(s)
+// equals the k-th SplitMix64 output of s, so callers that need to replay a
+// stream without a *rand.Rand (the lockstep engine) can iterate SplitMix64
+// directly.
+func NewSource(state uint64) *Source { return &Source{state: state} }
+
+// NodeSource returns the private stream of node id under the given run
+// seed as a value: SplitMix64 with initial state Mix(seed, id).
+func NodeSource(seed uint64, id int) Source { return Source{state: Mix(seed, uint64(id))} }
+
+// Seed, Int63 and Uint64 make a *Source a rand.Source64.
+func (s *Source) Seed(seed int64) { s.state = uint64(seed) }
+func (s *Source) Int63() int64    { return int64(s.Uint64() >> 1) }
+func (s *Source) Uint64() uint64 {
 	var out uint64
 	s.state, out = SplitMix64(s.state)
 	return out
-}
-
-// NewSource returns a SplitMix64-backed rand.Source64 seeded with state.
-// Draw k from NewSource(s) equals the k-th SplitMix64 output of s, so
-// callers that need to replay a stream without a *rand.Rand (the lockstep
-// engine) can iterate SplitMix64 directly.
-func NewSource(state uint64) rand.Source64 {
-	return &splitSource{state: state}
 }
 
 // ForNode returns the private random stream of node id under the given run
@@ -76,7 +88,8 @@ func NewSource(state uint64) rand.Source64 {
 // shifted right one bit, so the lockstep engine can reproduce it without
 // allocating a generator per (node, lane).
 func ForNode(seed uint64, id int) *rand.Rand {
-	return rand.New(NewSource(Mix(seed, uint64(id))))
+	s := NodeSource(seed, id)
+	return rand.New(&s)
 }
 
 // Geometric samples from the geometric distribution with success parameter
@@ -101,6 +114,79 @@ func GeometricHalf(r *rand.Rand) int {
 		n++
 	}
 	return n
+}
+
+// BackoffMask draws the slots of iters iterations of Snd-EBackoff with
+// slots slots each and returns them as one mask: iteration i picks slot x
+// with P(x = j) = 2^-j, the last slot absorbing the tail, and sets bit
+// i·slots + x − 1. Its draws are exactly those of iters calls of
+// GeometricHalf on rand.New(s), each capped at slots, and it leaves s where
+// those calls leave it. slots must be at least 1 and iters·slots at most
+// 64.
+//
+// A GeometricHalf call flips coins, the low bit of an Int63 (bit 1 of a
+// SplitMix64 output), up to and including the first head. SplitMix64's
+// k-th state after s is s + k·gamma, so BackoffMask computes the coins of
+// the next draws into a coin word in one pass, without a branch on their
+// outcome, and reads each iteration's variate off the distance to the next
+// set bit. A word holds the coins the remaining iterations are expected to
+// need, two each, and two more, rounded up to a multiple of four and at
+// most 64; a later word carries on if they need more. The coins after the
+// last head are thrown away, not kept for a later call: the state advances
+// by the coins consumed only.
+func (s *Source) BackoffMask(slots, iters int) uint64 {
+	var mask uint64
+	state := s.state
+	// base is iteration i's first mask bit, i·slots; tails counts the
+	// current iteration's tails in earlier words.
+	i, base, tails := 0, 0, 0
+	for i < iters {
+		n := min(64, (2*(iters-i)+5)&^3)
+		w := coinWord(state, n)
+		// last is the position of the previous head, counted back past
+		// the word's start over the carried tails.
+		last := -1 - tails
+		for ; w != 0 && i < iters; i++ {
+			head := bits.TrailingZeros64(w)
+			w &= w - 1
+			mask |= 1 << ((base + min(head-last, slots) - 1) & 63) // &63 drops the shift's range check
+			base += slots
+			last = head
+		}
+		if i == iters {
+			state += uint64(last+1) * gamma
+			break
+		}
+		// The word ran out of heads: its remaining coins are tails.
+		tails = n - 1 - last
+		state += uint64(n) * gamma
+	}
+	s.state = state
+	return mask
+}
+
+// Multiples of gamma, modulo 2^64: the states two, three and four draws
+// ahead.
+const (
+	gamma2 = 2 * gamma & (1<<64 - 1)
+	gamma3 = 3 * gamma & (1<<64 - 1)
+	gamma4 = 4 * gamma & (1<<64 - 1)
+)
+
+// coinWord returns the coins of the n draws after state, n a multiple of
+// four and at most 64: bit j is bit 1 of SplitMix64 output j+1, the low
+// bit of that draw's Int63. It mixes four states a step, whose multiplies
+// overlap.
+func coinWord(state uint64, n int) (w uint64) {
+	for j := 0; j < n; j += 4 {
+		a := mix64(state + gamma)
+		b := mix64(state + gamma2)
+		c := mix64(state + gamma3)
+		d := mix64(state + gamma4)
+		state += gamma4
+		w |= (a>>1&1 | b&2 | c<<1&4 | d<<2&8) << (j & 63)
+	}
+	return w
 }
 
 // Bits returns a uniformly random bit string of length n, most significant
