@@ -6,8 +6,8 @@ import (
 
 	"radiomis/internal/backbone"
 	"radiomis/internal/graph"
+	"radiomis/internal/harness"
 	"radiomis/internal/mis"
-	"radiomis/internal/rng"
 	"radiomis/internal/stats"
 	"radiomis/internal/texttable"
 )
@@ -36,45 +36,57 @@ func E12Backbone(ctx context.Context, cfg Config) (*Report, error) {
 		"bcast avgE", "flood avgE", "saving", "informed")
 	report.Tables = []*texttable.Table{table}
 	for _, n := range ns {
-		var heads, members, slots, informed float64
-		var rounds, bcastE, floodE []float64
-		for trial := 0; trial < t; trial++ {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("experiments: e12: %w", err)
-			}
-			seed := rng.Mix(cfg.Seed, uint64(n*10+trial))
-			g := graph.Grid2D(isqrt(n), isqrt(n))
-			p := mis.ParamsDefault(g.N(), g.MaxDegree())
-			misRun, err := mis.Run("cd", g, p, mis.RunOpts{Seed: seed, Ctx: ctx})
-			if err != nil {
-				return nil, fmt.Errorf("experiments: e12 mis: %w", err)
-			}
-			if err := misRun.Check(g); err != nil {
-				return nil, fmt.Errorf("experiments: e12 mis invalid: %w", err)
-			}
-			b, err := backbone.Build(g, misRun.InMIS)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: e12 build: %w", err)
-			}
-			c := backbone.ColorBackbone(g, b)
-			bc, err := backbone.Broadcast(g, b, c, 0, 1, 0, seed)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: e12 broadcast: %w", err)
-			}
-			nf, err := backbone.NaiveFlood(g, 0, 1, 0, seed)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: e12 flood: %w", err)
-			}
-			heads += float64(b.Heads()) / float64(t)
-			members += float64(b.Size()) / float64(t)
-			slots += float64(c.Count) / float64(t)
-			if bc.AllInformed() {
-				informed += 1 / float64(t)
-			}
-			rounds = append(rounds, float64(bc.Rounds))
-			bcastE = append(bcastE, bc.AvgEnergy())
-			floodE = append(floodE, nf.AvgEnergy())
+		agg, err := harness.Repeat(ctx, harness.Options{Trials: t, Seed: cfg.Seed, SeedOffset: n * 10},
+			func(ctx context.Context, seed uint64) (harness.Metrics, error) {
+				g := graph.Grid2D(isqrt(n), isqrt(n))
+				p := mis.ParamsDefault(g.N(), g.MaxDegree())
+				misRun, err := mis.Run("cd", g, p, mis.RunOpts{Seed: seed, Ctx: ctx})
+				if err != nil {
+					return nil, fmt.Errorf("mis: %w", err)
+				}
+				if err := misRun.Check(g); err != nil {
+					return nil, fmt.Errorf("mis invalid: %w", err)
+				}
+				b, err := backbone.Build(g, misRun.InMIS)
+				if err != nil {
+					return nil, fmt.Errorf("build: %w", err)
+				}
+				c := backbone.ColorBackbone(g, b)
+				bc, err := backbone.Broadcast(g, b, c, 0, 1, 0, seed)
+				if err != nil {
+					return nil, fmt.Errorf("broadcast: %w", err)
+				}
+				nf, err := backbone.NaiveFlood(g, 0, 1, 0, seed)
+				if err != nil {
+					return nil, fmt.Errorf("flood: %w", err)
+				}
+				informed := 0.0
+				if bc.AllInformed() {
+					informed = 1
+				}
+				return harness.Metrics{
+					"heads":    float64(b.Heads()),
+					"members":  float64(b.Size()),
+					"slots":    float64(c.Count),
+					"informed": informed,
+					"rounds":   float64(bc.Rounds),
+					"bcastE":   bc.AvgEnergy(),
+					"floodE":   nf.AvgEnergy(),
+				}, nil
+			})
+		if err != nil {
+			return nil, fmt.Errorf("experiments: e12 n=%d: %w", n, err)
 		}
+		// These means sum x/t in trial order rather than dividing once
+		// (stats.Mean): the committed reference reports pin their rounding.
+		mean := func(name string) (m float64) {
+			for _, x := range agg.Metric(name) {
+				m += x / float64(t)
+			}
+			return m
+		}
+		heads, members, slots, informed := mean("heads"), mean("members"), mean("slots"), mean("informed")
+		rounds, bcastE, floodE := agg.Metric("rounds"), agg.Metric("bcastE"), agg.Metric("floodE")
 		table.AddRow(isqrt(n)*isqrt(n), heads, members, slots,
 			stats.Mean(rounds), stats.Mean(bcastE), stats.Mean(floodE),
 			stats.Ratio(stats.Mean(bcastE), stats.Mean(floodE)), informed)

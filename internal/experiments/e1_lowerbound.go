@@ -29,9 +29,6 @@ func E1LowerBound(ctx context.Context, cfg Config) (*Report, error) {
 		threshold := lowerbound.MinimumEnergy(n)
 		budgets := []int{1, 2, int(threshold), 2 * int(threshold), 6 * int(threshold), 30 * int(threshold)}
 		for _, b := range budgets {
-			if b < 1 {
-				b = 1
-			}
 			obl, err := lowerbound.FailureProbOblivious(lowerbound.Config{
 				Ctx: ctx, N: n, Budget: b, Trials: oblTrials, Seed: cfg.Seed,
 			})

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"radiomis/internal/graph"
+	"radiomis/internal/harness"
 	"radiomis/internal/mis"
 	"radiomis/internal/rng"
 	"radiomis/internal/stats"
@@ -55,42 +56,43 @@ func E3Residual(ctx context.Context, cfg Config) (*Report, error) {
 	}
 	const reportPhases = 10
 
-	algoEdges := make([][]float64, reportPhases) // phase → samples
-	lubyEdges := make([][]float64, reportPhases)
-	var initial []float64
-
-	for trial := 0; trial < t; trial++ {
-		seed := rng.Mix(cfg.Seed, uint64(trial))
-		r := rng.New(seed)
-		g := graph.GNP(n, 8.0/float64(n), r)
-		p := mis.ParamsDefault(g.N(), g.MaxDegree())
-		res, err := mis.Run("cd", g, p, mis.RunOpts{Seed: seed, Ctx: ctx})
-		if err != nil {
-			return nil, fmt.Errorf("experiments: e3 trial %d: %w", trial, err)
-		}
-		phaseRounds := uint64(p.RankBits() + 1)
-		re := residualEdges(g, res, phaseRounds, reportPhases)
-		for i, e := range re {
-			algoEdges[i] = append(algoEdges[i], float64(e))
-		}
-		_, lubyStats := graph.LubySequential(g, r)
-		for i := 0; i < reportPhases; i++ {
-			e := 0
-			if i < len(lubyStats) {
-				e = lubyStats[i].Edges
+	// Each trial reports the residual edge count after every phase under
+	// "algo1/<phase>" and "luby/<phase>", read back below in trial order.
+	agg, err := harness.Repeat(ctx, harness.Options{Trials: t, Seed: cfg.Seed},
+		func(ctx context.Context, seed uint64) (harness.Metrics, error) {
+			r := rng.New(seed)
+			g := graph.GNP(n, 8.0/float64(n), r)
+			p := mis.ParamsDefault(g.N(), g.MaxDegree())
+			res, err := mis.Run("cd", g, p, mis.RunOpts{Seed: seed, Ctx: ctx})
+			if err != nil {
+				return nil, err
 			}
-			lubyEdges[i] = append(lubyEdges[i], float64(e))
-		}
-		initial = append(initial, float64(g.M()))
+			m := harness.Metrics{"initial": float64(g.M())}
+			phaseRounds := uint64(p.RankBits() + 1)
+			for i, e := range residualEdges(g, res, phaseRounds, reportPhases) {
+				m[fmt.Sprintf("algo1/%d", i)] = float64(e)
+			}
+			_, lubyStats := graph.LubySequential(g, r)
+			for i := 0; i < reportPhases; i++ {
+				e := 0
+				if i < len(lubyStats) {
+					e = lubyStats[i].Edges
+				}
+				m[fmt.Sprintf("luby/%d", i)] = float64(e)
+			}
+			return m, nil
+		})
+	if err != nil {
+		return nil, fmt.Errorf("experiments: e3: %w", err)
 	}
 
 	table := texttable.New("phase", "algo1 edges (mean)", "algo1 ratio", "luby edges (mean)", "luby ratio")
-	prevAlgo := stats.Mean(initial)
+	prevAlgo := agg.Mean("initial")
 	prevLuby := prevAlgo
 	var worstRatio float64
 	for i := 0; i < reportPhases; i++ {
-		ma := stats.Mean(algoEdges[i])
-		ml := stats.Mean(lubyEdges[i])
+		ma := agg.Mean(fmt.Sprintf("algo1/%d", i))
+		ml := agg.Mean(fmt.Sprintf("luby/%d", i))
 		ra := stats.Ratio(prevAlgo, ma)
 		rl := stats.Ratio(prevLuby, ml)
 		if i < 4 && ra > worstRatio { // early phases carry the signal
@@ -110,10 +112,10 @@ func E3Residual(ctx context.Context, cfg Config) (*Report, error) {
 			"algorithm-1 ratios should track the classical Luby reference (its winners are a superset of local maxima)",
 		},
 	}
-	report.AddSample("residual/initial", 0, "edges", initial)
+	report.AddSample("residual/initial", 0, "edges", agg.Metric("initial"))
 	for i := 0; i < reportPhases; i++ {
-		report.AddSample("residual/algo1", float64(i+1), "edges", algoEdges[i])
-		report.AddSample("residual/luby", float64(i+1), "edges", lubyEdges[i])
+		report.AddSample("residual/algo1", float64(i+1), "edges", agg.Metric(fmt.Sprintf("algo1/%d", i)))
+		report.AddSample("residual/luby", float64(i+1), "edges", agg.Metric(fmt.Sprintf("luby/%d", i)))
 	}
 	return report, nil
 }

@@ -7,8 +7,8 @@ import (
 
 	"radiomis/internal/backoff"
 	"radiomis/internal/graph"
+	"radiomis/internal/harness"
 	"radiomis/internal/radio"
-	"radiomis/internal/rng"
 	"radiomis/internal/texttable"
 )
 
@@ -45,19 +45,15 @@ func E4Backoff(ctx context.Context, cfg Config) (*Report, error) {
 	success := texttable.New("k", "senders", "measured fail", "bound (7/8)^k")
 	for _, k := range []int{2, 4, 8, 16} {
 		for _, senders := range []int{1, 4, 16, 64} {
-			fails := 0
-			for trial := 0; trial < t; trial++ {
-				heard, err := starBackoffTrial(ctx, rng.Mix(cfg.Seed, uint64(k*1000+senders*10+trial)), senders, k, delta)
-				if err != nil {
-					return nil, fmt.Errorf("experiments: e4 k=%d senders=%d: %w", k, senders, err)
-				}
-				if !heard {
-					fails++
-				}
+			agg, err := harness.Repeat(ctx, harness.Options{Trials: t, Seed: cfg.Seed, SeedOffset: k*1000 + senders*10},
+				starBackoffTrial(senders, k, delta))
+			if err != nil {
+				return nil, fmt.Errorf("experiments: e4 k=%d senders=%d: %w", k, senders, err)
 			}
-			success.AddRow(k, senders, float64(fails)/float64(t), math.Pow(7.0/8.0, float64(k)))
+			fail := agg.Mean("fail")
+			success.AddRow(k, senders, fail, math.Pow(7.0/8.0, float64(k)))
 			series := fmt.Sprintf("backoff/fail/senders=%d", senders)
-			report.AddValue(series, float64(k), "measuredFail", float64(fails)/float64(t))
+			report.AddValue(series, float64(k), "measuredFail", fail)
 			report.AddValue(series, float64(k), "bound", math.Pow(7.0/8.0, float64(k)))
 		}
 	}
@@ -86,21 +82,23 @@ func backoffBudgets(ctx context.Context, seed uint64, k, delta int) (senderEnerg
 }
 
 // starBackoffTrial runs `senders` transmitting leaves around a listening
-// center and reports whether the center heard.
-func starBackoffTrial(ctx context.Context, seed uint64, senders, k, delta int) (bool, error) {
-	g := graph.Star(senders + 1)
-	rr, err := radio.Run(g, radio.Config{Model: radio.ModelNoCD, Ctx: ctx, Seed: seed}, func(env *radio.Env) int64 {
-		if env.ID() == 0 {
-			if backoff.Receive(env, k, delta, 0) {
-				return 1
+// center. Its "fail" metric is 1 when the center heard none of them.
+func starBackoffTrial(senders, k, delta int) harness.TrialFunc {
+	return func(ctx context.Context, seed uint64) (harness.Metrics, error) {
+		g := graph.Star(senders + 1)
+		rr, err := radio.Run(g, radio.Config{Model: radio.ModelNoCD, Ctx: ctx, Seed: seed}, func(env *radio.Env) int64 {
+			if env.ID() == 0 {
+				if backoff.Receive(env, k, delta, 0) {
+					return 1
+				}
+				return 0
 			}
+			backoff.Send(env, k, delta, 1)
 			return 0
+		})
+		if err != nil {
+			return nil, err
 		}
-		backoff.Send(env, k, delta, 1)
-		return 0
-	})
-	if err != nil {
-		return false, err
+		return harness.Metrics{"fail": float64(1 - rr.Outputs[0])}, nil
 	}
-	return rr.Outputs[0] == 1, nil
 }

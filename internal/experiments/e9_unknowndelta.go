@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"radiomis/internal/graph"
+	"radiomis/internal/harness"
 	"radiomis/internal/mis"
 	"radiomis/internal/rng"
 	"radiomis/internal/stats"
@@ -31,34 +32,40 @@ func E9UnknownDelta(ctx context.Context, cfg Config) (*Report, error) {
 	table := texttable.New("n", "Δ", "guesses", "known maxE", "unknown maxE", "energy ratio", "round budget ratio", "success")
 	report.Tables = []*texttable.Table{table}
 	for _, n := range ns {
-		var knownE, unknownE, successes []float64
-		var guessCount int
-		var roundRatio float64
-		var delta int
-		for trial := 0; trial < t; trial++ {
-			seed := rng.Mix(cfg.Seed, uint64(n*100+trial))
-			g := graph.GNP(n, 10.0/float64(n), rng.New(seed))
-			p := mis.ParamsDefault(g.N(), g.MaxDegree())
-			delta = g.MaxDegree()
-			guessCount = len(mis.DeltaGuesses(maxOf(delta, 2)))
-			roundRatio = float64(mis.UnknownDeltaRoundBudget(p)) / float64(mis.NoCDRoundBudget(p))
-
-			known, err := mis.Run("nocd", g, p, mis.RunOpts{Seed: seed, Ctx: ctx})
-			if err != nil {
-				return nil, fmt.Errorf("experiments: e9 known n=%d: %w", n, err)
-			}
-			unknown, err := mis.Run("unknown-delta", g, p, mis.RunOpts{Seed: seed, Ctx: ctx})
-			if err != nil {
-				return nil, fmt.Errorf("experiments: e9 unknown n=%d: %w", n, err)
-			}
-			knownE = append(knownE, float64(known.MaxEnergy()))
-			unknownE = append(unknownE, float64(unknown.MaxEnergy()))
-			if unknown.Check(g) == nil {
-				successes = append(successes, 1)
-			} else {
-				successes = append(successes, 0)
-			}
+		agg, err := harness.Repeat(ctx, harness.Options{Trials: t, Seed: cfg.Seed, SeedOffset: n * 100},
+			func(ctx context.Context, seed uint64) (harness.Metrics, error) {
+				g := graph.GNP(n, 10.0/float64(n), rng.New(seed))
+				p := mis.ParamsDefault(g.N(), g.MaxDegree())
+				known, err := mis.Run("nocd", g, p, mis.RunOpts{Seed: seed, Ctx: ctx})
+				if err != nil {
+					return nil, fmt.Errorf("known: %w", err)
+				}
+				unknown, err := mis.Run("unknown-delta", g, p, mis.RunOpts{Seed: seed, Ctx: ctx})
+				if err != nil {
+					return nil, fmt.Errorf("unknown: %w", err)
+				}
+				success := 1.0
+				if unknown.Check(g) != nil {
+					success = 0
+				}
+				return harness.Metrics{
+					"delta":      float64(g.MaxDegree()),
+					"guesses":    float64(len(mis.DeltaGuesses(max(g.MaxDegree(), 2)))),
+					"roundRatio": float64(mis.UnknownDeltaRoundBudget(p)) / float64(mis.NoCDRoundBudget(p)),
+					"knownE":     float64(known.MaxEnergy()),
+					"unknownE":   float64(unknown.MaxEnergy()),
+					"success":    success,
+				}, nil
+			})
+		if err != nil {
+			return nil, fmt.Errorf("experiments: e9 n=%d: %w", n, err)
 		}
+		knownE, unknownE, successes := agg.Metric("knownE"), agg.Metric("unknownE"), agg.Metric("success")
+		// The table shows the last trial's Δ, guess count and round-budget
+		// ratio.
+		delta := int(agg.Metric("delta")[t-1])
+		guessCount := int(agg.Metric("guesses")[t-1])
+		roundRatio := agg.Metric("roundRatio")[t-1]
 		table.AddRow(n, delta, guessCount,
 			stats.Max(knownE), stats.Max(unknownE),
 			stats.Ratio(stats.Max(knownE), stats.Max(unknownE)),
@@ -71,11 +78,4 @@ func E9UnknownDelta(ctx context.Context, cfg Config) (*Report, error) {
 	}
 
 	return report, nil
-}
-
-func maxOf(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

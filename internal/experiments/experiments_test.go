@@ -5,19 +5,28 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"radiomis/internal/telemetry"
 )
 
 // quickCfg runs experiments at smoke-test scale.
 var quickCfg = Config{Seed: 1, Quick: true}
 
+// TestAllDefinitionsRunQuick runs every experiment at smoke scale. Each
+// must run its trials on the harness, which the perf section (folded from
+// the harness's trial histogram) shows.
 func TestAllDefinitionsRunQuick(t *testing.T) {
 	for _, def := range All() {
 		def := def
 		t.Run(def.ID, func(t *testing.T) {
 			t.Parallel()
-			rep, err := def.Run(context.Background(), quickCfg)
+			reg := telemetry.New()
+			rep, err := def.Run(telemetry.WithRegistry(context.Background(), reg), quickCfg)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if PerfFromRegistry(reg) == nil {
+				t.Error("no perf section: the experiment ran no harness trials")
 			}
 			if rep.ID != def.ID {
 				t.Errorf("report ID = %q, want %q", rep.ID, def.ID)
@@ -92,18 +101,14 @@ func TestE8IdenticalAtQuickScale(t *testing.T) {
 	}
 }
 
-// TestRunCancelled checks that a cancelled context aborts an experiment
+// TestRunCancelled checks that a cancelled context aborts every experiment
 // before (or during) its trial work, surfacing context.Canceled.
 func TestRunCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, id := range []string{"E2", "E8"} {
-		def, err := Lookup(id)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, def := range All() {
 		if _, err := def.Run(ctx, quickCfg); !errors.Is(err, context.Canceled) {
-			t.Errorf("%s with cancelled ctx: err = %v, want context.Canceled", id, err)
+			t.Errorf("%s with cancelled ctx: err = %v, want context.Canceled", def.ID, err)
 		}
 	}
 }

@@ -26,6 +26,7 @@ import (
 	"math"
 
 	"radiomis/internal/graph"
+	"radiomis/internal/harness"
 	"radiomis/internal/mis"
 	"radiomis/internal/radio"
 	"radiomis/internal/rng"
@@ -45,8 +46,9 @@ func MinimumEnergy(n int) float64 {
 
 // Config parameterizes a lower-bound measurement.
 type Config struct {
-	// Ctx, when non-nil, bounds the measurement: cancellation aborts the
-	// trial loop (and the in-flight simulation) with the context's error.
+	// Ctx, when non-nil, bounds the measurement and carries the harness's
+	// telemetry, tracing and progress sinks: cancellation aborts the trials
+	// (and the in-flight simulations) with the context's error.
 	Ctx context.Context
 
 	// NoCD runs the probe in the no-CD model instead of CD. Theorem 1's
@@ -60,12 +62,9 @@ type Config struct {
 	N int
 	// Budget is the per-node energy budget b (awake rounds).
 	Budget int
-	// Horizon is the schedule length for oblivious strategies; 0 means
-	// 2·Budget (awake rounds spread over twice their count).
-	Horizon int
-	// Trials is the number of independent runs to average over.
+	// Trials is the number of independent runs to average over (≥ 1).
 	Trials int
-	// Seed derives per-trial seeds.
+	// Seed derives per-trial seeds (harness.Options.Seed).
 	Seed uint64
 }
 
@@ -91,23 +90,19 @@ func (c Config) validate() error {
 		return fmt.Errorf("lowerbound: N = %d, want ≥ 4", c.N)
 	case c.Budget < 1:
 		return fmt.Errorf("lowerbound: Budget = %d, want ≥ 1", c.Budget)
-	case c.Trials < 1:
-		return fmt.Errorf("lowerbound: Trials = %d, want ≥ 1", c.Trials)
 	default:
 		return nil
 	}
 }
 
 // obliviousProgram builds the strategy-space program of the proof: b awake
-// rounds placed uniformly over the horizon, each independently a transmit
-// or a listen. The program reports whether the node heard a neighbor —
-// the event whose absence, at both endpoints of a matched pair, forces
-// both to join the MIS and thereby fail (the exact event the proof's
-// 4^(−b) bound quantifies).
-func obliviousProgram(budget, horizon int) radio.Program {
-	if horizon < budget {
-		horizon = budget
-	}
+// rounds placed uniformly over a horizon of 2·b rounds, each independently
+// a transmit or a listen. The program reports whether the node heard a
+// neighbor — the event whose absence, at both endpoints of a matched pair,
+// forces both to join the MIS and thereby fail (the exact event the
+// proof's 4^(−b) bound quantifies).
+func obliviousProgram(budget int) radio.Program {
+	horizon := 2 * budget
 	return func(env *radio.Env) int64 {
 		awake := make([]bool, horizon)
 		for _, s := range env.Rand().Perm(horizon)[:budget] {
@@ -187,58 +182,63 @@ func truncatedCDProgram(p mis.Params, budget uint64) radio.Program {
 
 // FailureProbTruncatedCD measures the fraction of trials in which
 // energy-capped Algorithm 1 fails to output a valid MIS on the Theorem 1
-// graph.
+// graph. Trials run on harness.Repeat, seeded from Seed^0x5bd1.
 func FailureProbTruncatedCD(cfg Config) (float64, error) {
 	if err := cfg.validate(); err != nil {
 		return 0, err
 	}
-	fails := 0
-	for trial := 0; trial < cfg.Trials; trial++ {
-		seed := rng.Mix(cfg.Seed^0x5bd1, uint64(trial))
-		g := graph.LowerBoundGraph(cfg.N, rng.New(seed))
-		p := mis.ParamsDefault(cfg.N, 1)
-		rr, err := radio.Run(g, radio.Config{Model: cfg.model(), Ctx: cfg.ctx(), Seed: seed},
-			truncatedCDProgram(p, uint64(cfg.Budget)))
-		if err != nil {
-			return 0, fmt.Errorf("lowerbound: truncated trial %d: %w", trial, err)
-		}
-		if !validMISOutputs(g, rr) {
-			fails++
-		}
+	p := mis.ParamsDefault(cfg.N, 1)
+	agg, err := harness.Repeat(cfg.ctx(), harness.Options{Trials: cfg.Trials, Seed: cfg.Seed ^ 0x5bd1},
+		func(ctx context.Context, seed uint64) (harness.Metrics, error) {
+			g := graph.LowerBoundGraph(cfg.N, rng.New(seed))
+			rr, err := radio.Run(g, radio.Config{Model: cfg.model(), Ctx: ctx, Seed: seed},
+				truncatedCDProgram(p, uint64(cfg.Budget)))
+			if err != nil {
+				return nil, err
+			}
+			fail := 1.0
+			if validMISOutputs(g, rr) {
+				fail = 0
+			}
+			return harness.Metrics{"fail": fail}, nil
+		})
+	if err != nil {
+		return 0, fmt.Errorf("lowerbound: truncated: %w", err)
 	}
-	return float64(fails) / float64(cfg.Trials), nil
+	return agg.Mean("fail"), nil
 }
 
 // FailureProbOblivious measures the fraction of trials in which some
 // matched pair of the Theorem 1 graph never communicates in either
 // direction under oblivious b-budget strategies — the event that forces
 // both endpoints into the MIS and breaks independence. This is the
-// empirical counterpart of the proof's 1 − e^(−n/4^(b+1)) bound.
+// empirical counterpart of the proof's 1 − e^(−n/4^(b+1)) bound. Trials
+// run on harness.Repeat, seeded from Seed.
 func FailureProbOblivious(cfg Config) (float64, error) {
 	if err := cfg.validate(); err != nil {
 		return 0, err
 	}
-	horizon := cfg.Horizon
-	if horizon == 0 {
-		horizon = 2 * cfg.Budget
-	}
-	fails := 0
-	for trial := 0; trial < cfg.Trials; trial++ {
-		seed := rng.Mix(cfg.Seed, uint64(trial))
-		g := graph.LowerBoundGraph(cfg.N, rng.New(seed))
-		rr, err := radio.Run(g, radio.Config{Model: cfg.model(), Ctx: cfg.ctx(), Seed: seed},
-			obliviousProgram(cfg.Budget, horizon))
-		if err != nil {
-			return 0, fmt.Errorf("lowerbound: oblivious trial %d: %w", trial, err)
-		}
-		for _, e := range g.Edges() {
-			if rr.Outputs[e[0]] == 0 && rr.Outputs[e[1]] == 0 {
-				fails++
-				break
+	agg, err := harness.Repeat(cfg.ctx(), harness.Options{Trials: cfg.Trials, Seed: cfg.Seed},
+		func(ctx context.Context, seed uint64) (harness.Metrics, error) {
+			g := graph.LowerBoundGraph(cfg.N, rng.New(seed))
+			rr, err := radio.Run(g, radio.Config{Model: cfg.model(), Ctx: ctx, Seed: seed},
+				obliviousProgram(cfg.Budget))
+			if err != nil {
+				return nil, err
 			}
-		}
+			fail := 0.0
+			for _, e := range g.Edges() {
+				if rr.Outputs[e[0]] == 0 && rr.Outputs[e[1]] == 0 {
+					fail = 1
+					break
+				}
+			}
+			return harness.Metrics{"fail": fail}, nil
+		})
+	if err != nil {
+		return 0, fmt.Errorf("lowerbound: oblivious: %w", err)
 	}
-	return float64(fails) / float64(cfg.Trials), nil
+	return agg.Mean("fail"), nil
 }
 
 // validMISOutputs reports whether a raw run's outputs form a valid MIS.
